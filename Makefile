@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench bench-decode bench-stream bench-session bench-continuous bench-router fmt clean
+.PHONY: all build test race vet check fuzz bench benchmark fmt clean
 
 all: check
 
@@ -34,45 +34,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzAdminRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzEncode$$' -fuzztime=$(FUZZTIME) ./internal/tokenizer
 	$(GO) test -run='^$$' -fuzz='^FuzzRingLookup$$' -fuzztime=$(FUZZTIME) ./internal/router
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePathsAgree$$' -fuzztime=$(FUZZTIME) ./internal/neural
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-decode runs the decode-engine microbenchmarks that back
-# BENCH_PR3.json (step kernels, cached beam, batched generation).
-bench-decode:
-	$(GO) test ./internal/neural/ -run XXX -benchmem -benchtime 2s \
-		-bench 'BenchmarkStep$$|BenchmarkStepBatch8|BenchmarkBeamDecode|BenchmarkGenerateBatch8|BenchmarkGenerateFullForward|BenchmarkGenerateKVCached'
-
-# bench-stream runs the streaming-latency microbenchmarks that back
-# BENCH_PR6.json: time-to-first-delta (reported as ttft-ns/op) against the
-# total generation latency of the streamed and unary prediction paths.
-bench-stream:
-	$(GO) test ./internal/wisdom/ -run XXX -benchtime 20x \
-		-bench 'BenchmarkPredictStream$$|BenchmarkPredictUnary$$'
-
-# bench-session runs the warm-vs-cold session benchmarks that back
-# BENCH_PR7.json: time-to-first-generated-delta (first-body-ns/op) of the
-# editor keystroke trace with and without per-session prefix KV reuse.
-bench-session:
-	$(GO) test ./internal/wisdom/ -run XXX -benchtime 50x \
-		-bench 'BenchmarkPredictSessionWarm$$|BenchmarkPredictSessionCold$$'
-
-# bench-continuous runs the continuous-batching benchmarks that back
-# BENCH_PR8.json: the parallel tiled step kernels at 1/2/4/8 kernel workers
-# (single-row and 8-row batched) and the end-to-end engine throughput over a
-# mixed-length request fleet (tok/s plus batch occupancy).
-bench-continuous:
-	$(GO) test ./internal/neural/ -run XXX -benchmem -benchtime 2s \
-		-bench 'BenchmarkStepParallel|BenchmarkStepBatchParallel|BenchmarkEngineMixed'
-
-# bench-router runs the sharded-serving benchmarks that back BENCH_PR9.json:
-# router-forwarded throughput over a single replica and a 3-replica fleet,
-# and the spillover path (dead owner, breaker open, request served by the
-# ring successor).
-bench-router:
-	$(GO) test ./internal/router/ -run XXX -benchmem -benchtime 2s \
-		-bench 'BenchmarkRouterUnary|BenchmarkRouterSpillover'
+# benchmark runs the one end-to-end fleet benchmark BENCHMARK.json declares
+# (see benchmark/README.md).
+benchmark:
+	bash benchmark/run.sh
 
 fmt:
 	gofmt -l -w .

@@ -9,9 +9,8 @@
 //	curl -s localhost:8080/metrics     # Prometheus text format
 //	curl -s localhost:8080/healthz     # liveness probe
 //
-// -batch-window/-max-batch enable the micro-batching decode path;
-// -sched enables the continuous-batching scheduler, which supersedes the
-// micro-batcher (see docs/ARCHITECTURE.md, "Continuous batching");
+// -sched enables the continuous-batching scheduler (see ARCHITECTURE.md,
+// "Continuous batching");
 // -pprof :6060 exposes net/http/pprof on a side listener.
 //
 // SIGINT/SIGTERM drain in-flight HTTP and RPC requests within the -drain
@@ -48,8 +47,6 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "max requests waiting for a worker (0 = 4x workers, -1 disables queueing)")
 	queueTimeout := flag.Duration("request-timeout", serve.DefaultQueueTimeout, "max wait for worker admission before shedding (0 = no deadline)")
 	maxBody := flag.Int64("max-body", 1<<20, "max HTTP request body bytes")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batching gather window (0 disables batching)")
-	maxBatch := flag.Int("max-batch", 8, "max requests decoded together per micro-batch")
 	pprofAddr := flag.String("pprof", "", "net/http/pprof listen address on a side port (empty disables)")
 	quick := flag.Bool("quick", false, "use the reduced training configuration")
 	loadPath := flag.String("load", "", "load a previously saved model instead of training")
@@ -158,8 +155,6 @@ func main() {
 		QueueDepth:   *queueDepth,
 		QueueTimeout: qt,
 		MaxBodyBytes: *maxBody,
-		BatchWindow:  *batchWindow,
-		MaxBatch:     *maxBatch,
 	})
 	srv.Instrument(reg)
 	fmt.Fprintf(os.Stderr, "worker pool: %d workers, queue %d\n",

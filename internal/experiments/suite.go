@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -458,10 +459,11 @@ type DecodeEngineRow struct {
 }
 
 // DecodeEngine measures every decode path of the engine on one model:
-// the full-forward loop, the KV-cached loop, cached beam search, and the
-// batched multi-sequence path. Beam reports emitted tokens/second (it does
-// width× the internal work per emitted token); the batched row reports the
-// aggregate across its sequences, which is the serving-relevant rate.
+// the full-forward loop, the KV-cached loop, cached beam search, and eight
+// sequences submitted together to a continuous-batching Engine. Beam
+// reports emitted tokens/second (it does width× the internal work per
+// emitted token); the engine row reports the aggregate across its
+// sequences, which is the serving-relevant rate.
 func (s *Suite) DecodeEngine() ([]DecodeEngineRow, error) {
 	defer s.Trace.Start("decode_engine").End()
 	m, err := neural.NewModel(neural.Config{Vocab: 512, Ctx: 64, Dim: 96, Heads: 4, Layers: 4, Seed: 1})
@@ -491,19 +493,27 @@ func (s *Suite) DecodeEngine() ([]DecodeEngineRow, error) {
 	add("beam w=4 kv-cached", func() int {
 		return len(m.GenerateBeam(prefix, maxNew, neural.BeamOptions{Width: 4, StopToken: -1}))
 	})
-	add("batch x8 kv-cached", func() int {
-		reqs := make([]neural.BatchRequest, 8)
-		for i := range reqs {
+	add("engine x8 kv-cached", func() int {
+		e := m.NewEngine(neural.EngineConfig{MaxBatch: 8})
+		tickets := make([]*neural.Ticket, 8)
+		for i := range tickets {
 			p := append(append([]int(nil), prefix...), i+1)
-			reqs[i] = neural.BatchRequest{Prefix: p, MaxNew: maxNew, Opts: neural.GenOptions{StopToken: -1}}
+			if tickets[i], err = e.Submit(context.Background(), p, maxNew, neural.GenOptions{StopToken: -1}); err != nil {
+				break
+			}
 		}
 		total := 0
-		for _, out := range m.GenerateBatch(reqs) {
-			total += len(out)
+		for _, tk := range tickets {
+			if tk != nil {
+				total += len(tk.Wait())
+			}
+		}
+		if cerr := e.Close(context.Background()); err == nil {
+			err = cerr
 		}
 		return total
 	})
-	return rows, nil
+	return rows, err
 }
 
 // SortRowsByBLEU returns a copy of rows sorted by descending BLEU, a helper

@@ -8,7 +8,7 @@ import (
 // batchScratch is the working memory of a batched decode step: the same
 // buffers as decodeScratch but B rows wide, so the projection matmuls run
 // once over the whole batch instead of once per sequence. Allocated once
-// per GenerateBatch call (or engine) and reused every step.
+// per engine and reused every step.
 type batchScratch struct {
 	x, a, q, k, v, att, ao, bIn, mo, hf []float64 // B x Dim, row-major
 	h1                                  []float64 // B x MLPHidden
@@ -168,119 +168,4 @@ func (m *Model) stepBatchHead(states []*genState, bs *batchScratch, lo, hi int) 
 		lnRowInto(bs.hf[r*d:(r+1)*d], bs.x[r*d:(r+1)*d], m.lnfg.W, m.lnfb.W)
 		projectLogitsRange(states[r].logits, bs.hf[r*d:(r+1)*d], m.tokEmb.W, d, 0, cfg.Vocab)
 	}
-}
-
-// BatchRequest is one sequence of a batched generation call.
-type BatchRequest struct {
-	Prefix []int
-	MaxNew int
-	Opts   GenOptions
-}
-
-// batchRow is the per-request decode state machine of GenerateBatch.
-type batchRow struct {
-	req     *BatchRequest
-	st      *genState
-	out     []int
-	outSlot int // index into the results slice
-	fed     int // tokens fed into the cache so far
-	next    int // token to feed on the upcoming step
-}
-
-// GenerateBatch decodes every request together, advancing all live rows one
-// token per stepBatch call. Requests prime and finish independently — mixed
-// prefix lengths, MaxNew budgets, stop conditions, sampling options
-// (each row consumes only its own Opts.Rand) and streaming hooks (each
-// row's Opts.OnToken fires as its token is picked, and a row whose
-// Opts.Cancel closes retires alone while the rest keep decoding) batch
-// fine, and each row's
-// output is token-for-token what GenerateCached would have produced alone
-// (see TestGenerateBatchMatchesSerial). Rows that cannot decode purely in
-// cache — an empty prefix, a non-positive MaxNew, or prefix+MaxNew
-// overflowing the context window — fall back to a solo GenerateCached call.
-// Results are returned in request order.
-func (m *Model) GenerateBatch(reqs []BatchRequest) [][]int {
-	outs := make([][]int, len(reqs))
-	active := make([]*batchRow, 0, len(reqs))
-	for i := range reqs {
-		r := &reqs[i]
-		if len(r.Prefix) == 0 || r.MaxNew <= 0 || len(r.Prefix)+r.MaxNew-1 > m.cfg.Ctx {
-			outs[i] = m.GenerateCached(r.Prefix, r.MaxNew, r.Opts)
-			continue
-		}
-		active = append(active, &batchRow{
-			req: r, st: m.newGenState(), next: r.Prefix[0],
-			out: make([]int, 0, r.MaxNew),
-		})
-		// outs entry is filled when the row finishes; remember its slot.
-		active[len(active)-1].outSlot = i
-	}
-	if len(active) == 0 {
-		return outs
-	}
-
-	var start time.Time
-	if m.obs != nil {
-		start = time.Now()
-	}
-	bs := m.newBatchScratch(len(active))
-	states := make([]*genState, len(active))
-	toks := make([]int, len(active))
-	total := 0
-	for len(active) > 0 {
-		states = states[:len(active)]
-		toks = toks[:len(active)]
-		for i, row := range active {
-			states[i] = row.st
-			toks[i] = row.next
-		}
-		m.stepBatch(states, toks, bs)
-
-		live := active[:0]
-		for _, row := range active {
-			row.fed++
-			opts := row.req.Opts
-			// A cancelled row retires with the tokens it has produced; the
-			// remaining rows keep decoding (their batch just gets narrower).
-			if opts.cancelled() {
-				row.finish(outs, &total)
-				continue
-			}
-			if row.fed < len(row.req.Prefix) {
-				row.next = row.req.Prefix[row.fed]
-				live = append(live, row)
-				continue
-			}
-			tok := pickToken(row.st.logits, opts)
-			row.out = append(row.out, tok)
-			if opts.OnToken != nil {
-				opts.OnToken(tok)
-			}
-			if opts.StopToken > 0 && tok == opts.StopToken {
-				row.finish(outs, &total)
-				continue
-			}
-			if opts.Stop != nil && opts.Stop(row.out) {
-				row.finish(outs, &total)
-				continue
-			}
-			if len(row.out) == row.req.MaxNew {
-				row.finish(outs, &total)
-				continue
-			}
-			row.next = tok
-			live = append(live, row)
-		}
-		active = live
-	}
-	if m.obs != nil {
-		m.obs.recordGeneration(total, time.Since(start))
-	}
-	return outs
-}
-
-// finish publishes a completed row's output.
-func (r *batchRow) finish(outs [][]int, total *int) {
-	outs[r.outSlot] = r.out
-	*total += len(r.out)
 }

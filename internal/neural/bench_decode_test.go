@@ -98,24 +98,3 @@ func BenchmarkBeamDecodeUncached(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*benchBeamMaxNew)/b.Elapsed().Seconds(), "tok/s")
 }
-
-// BenchmarkGenerateBatch8 measures 8 concurrent generations through the
-// batched engine, the serving micro-batch shape.
-func BenchmarkGenerateBatch8(b *testing.B) {
-	m := benchModel(b)
-	const maxNew = 24
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqs := make([]BatchRequest, 8)
-		for r := range reqs {
-			reqs[r] = BatchRequest{
-				Prefix: []int{1, 2, 3, 4, 5, 6, 7, r + 1},
-				MaxNew: maxNew,
-				Opts:   GenOptions{StopToken: -1},
-			}
-		}
-		m.GenerateBatch(reqs)
-	}
-	b.ReportMetric(float64(b.N*8*maxNew)/b.Elapsed().Seconds(), "tok/s")
-}

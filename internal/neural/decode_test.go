@@ -1,9 +1,6 @@
 package neural
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestCachedBeamMatchesUncached pins the cached beam decoder to the
 // full-forward reference across widths, length penalties, and stop tokens.
@@ -61,7 +58,7 @@ func TestBeamTruncationEdge(t *testing.T) {
 
 // TestStepBatchMatchesStep feeds the same token streams through the batched
 // and the single-row kernels and requires bit-identical logits at every
-// position — the property that makes serve-level micro-batching invisible
+// position — the property that makes the engine's step batching invisible
 // to callers.
 func TestStepBatchMatchesStep(t *testing.T) {
 	m, err := NewModel(Config{Vocab: 24, Ctx: 16, Dim: 16, Heads: 4, Layers: 3, Seed: 31})
@@ -103,71 +100,6 @@ func TestStepBatchMatchesStep(t *testing.T) {
 						r, pos, i, v, want[r][pos][i])
 				}
 			}
-		}
-	}
-}
-
-// TestGenerateBatchMatchesSerial runs a heterogeneous batch — different
-// prefix lengths, budgets, greedy and sampled rows, a stop-token row, a
-// stop-func row, and an overflow row that takes the solo fallback — and
-// requires every row to equal its serial GenerateCached counterpart.
-func TestGenerateBatchMatchesSerial(t *testing.T) {
-	m, err := NewModel(Config{Vocab: 24, Ctx: 24, Dim: 16, Heads: 2, Layers: 2, Seed: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkReqs := func() []BatchRequest {
-		return []BatchRequest{
-			{Prefix: []int{7, 3, 11, 2}, MaxNew: 10, Opts: GenOptions{StopToken: -1}},
-			{Prefix: []int{5}, MaxNew: 6, Opts: GenOptions{StopToken: -1}},
-			{Prefix: []int{1, 2, 3, 4, 5, 6, 7, 8}, MaxNew: 4, Opts: GenOptions{StopToken: -1}},
-			{Prefix: []int{9, 9}, MaxNew: 12, Opts: GenOptions{
-				Temperature: 0.8, TopK: 5, StopToken: -1,
-				Rand: rand.New(rand.NewSource(17)),
-			}},
-			{Prefix: []int{2, 4}, MaxNew: 10, Opts: GenOptions{StopToken: 3}},
-			{Prefix: []int{6, 1}, MaxNew: 10, Opts: GenOptions{
-				StopToken: -1,
-				Stop:      func(g []int) bool { return len(g) >= 2 },
-			}},
-			// Overflow row: prefix+MaxNew exceeds Ctx, takes the solo path.
-			{Prefix: []int{1, 2, 3, 4}, MaxNew: 24, Opts: GenOptions{StopToken: -1}},
-			{Prefix: nil, MaxNew: 4, Opts: GenOptions{StopToken: -1}},
-		}
-	}
-	batched := m.GenerateBatch(mkReqs())
-	serialReqs := mkReqs()
-	for i := range serialReqs {
-		r := &serialReqs[i]
-		want := m.GenerateCached(r.Prefix, r.MaxNew, r.Opts)
-		got := batched[i]
-		if len(got) != len(want) {
-			t.Fatalf("row %d: batched %v vs serial %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("row %d: batched %v vs serial %v", i, got, want)
-			}
-		}
-	}
-}
-
-// TestGenerateBatchSingleRow checks the degenerate batch of one.
-func TestGenerateBatchSingleRow(t *testing.T) {
-	m, err := NewModel(Config{Vocab: 16, Ctx: 16, Dim: 8, Heads: 2, Layers: 1, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.GenerateCached([]int{4, 2}, 6, GenOptions{StopToken: -1})
-	got := m.GenerateBatch([]BatchRequest{
-		{Prefix: []int{4, 2}, MaxNew: 6, Opts: GenOptions{StopToken: -1}},
-	})
-	if len(got) != 1 || len(got[0]) != len(want) {
-		t.Fatalf("batched %v vs serial %v", got, want)
-	}
-	for i := range want {
-		if got[0][i] != want[i] {
-			t.Fatalf("batched %v vs serial %v", got[0], want)
 		}
 	}
 }

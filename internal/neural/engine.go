@@ -93,14 +93,13 @@ type engineJob struct {
 	done   chan struct{} // closed when the row has retired
 }
 
-// engineRow is a live sequence occupying one slot of the step batch — the
-// same prime/decode state machine as GenerateBatch's batchRow, plus the
-// job whose waiter it reports to.
+// engineRow is a live sequence occupying one slot of the step batch: the
+// shared decode row plus the state it steps and the job whose waiter it
+// reports to.
 type engineRow struct {
+	decodeRow
 	job   *engineJob
 	st    *genState
-	out   []int
-	fed   int // tokens fed into the cache so far
 	next  int // token to feed on the upcoming step
 	start time.Time
 }
@@ -108,17 +107,18 @@ type engineRow struct {
 // Engine is a continuous-batching decode scheduler: one persistent loop
 // owns the model's step batch, admits queued sequences into free slots and
 // retires finished ones at every step boundary — vLLM/Orca-style
-// iteration-level scheduling, against the request-level batching of
-// GenerateBatch, where a batch's slots stay allocated until its last row
-// finishes. Short sequences therefore never wait for long ones beyond the
-// step in flight, and the batch matmul stays as full as the queue allows.
+// iteration-level scheduling, against request-level batching, where a
+// batch's slots stay allocated until its last row finishes. Short sequences
+// therefore never wait for long ones beyond the step in flight, and the
+// batch matmul stays as full as the queue allows.
 //
-// Per-row semantics are exactly GenerateBatch's: independent prefixes,
-// budgets, stop conditions, sampling sources and OnToken hooks, and each
-// row's output is token-for-token what a solo GenerateCached call would
-// produce. Cancellation (the job's ctx or GenOptions.Cancel) retires a row
-// at the next step boundary, freeing its slot for the queue. An Engine is
-// safe for concurrent Submit/Generate calls from any number of goroutines.
+// Rows are independent: each has its own prefix, budget, stop conditions,
+// sampling source and OnToken hook, rows at different positions batch
+// fine, and each row's output is token-for-token what a solo GenerateCached
+// call would produce — both drive the same decodeRow. Cancellation (the
+// job's ctx or GenOptions.Cancel) retires a row at the next step boundary,
+// freeing its slot for the queue. An Engine is safe for concurrent
+// Submit/Generate calls from any number of goroutines.
 type Engine struct {
 	m   *Model
 	cfg EngineConfig
@@ -171,7 +171,7 @@ type Ticket struct {
 // ErrEngineClosed after Close. Sequences the step batch cannot hold — an
 // empty prefix, a non-positive maxNew, or prefix+maxNew overflowing the
 // context window — are accepted but decode as a solo GenerateCached call on
-// the goroutine that calls Wait, exactly like GenerateBatch's fallback.
+// the goroutine that calls Wait.
 //
 // opts.OnToken is decoupled from the scheduling loop: tokens are forwarded
 // through a per-sequence buffer and delivered in order on a separate
@@ -344,8 +344,7 @@ func (e *Engine) loop() {
 
 		live := active[:0]
 		for _, row := range active {
-			row.fed++
-			if row.advance() {
+			if row.proceed(row.st.logits) {
 				live = append(live, row)
 			} else {
 				e.retire(row, &free)
@@ -361,33 +360,17 @@ func (e *Engine) loop() {
 	}
 }
 
-// advance runs one row's post-step state machine — the same transitions as
-// GenerateBatch's row loop — and reports whether the row stays live.
-func (row *engineRow) advance() bool {
-	opts := &row.job.opts
-	if row.job.ctx.Err() != nil || opts.cancelled() {
-		return false // retired with partial output at the step boundary
-	}
-	if row.fed < len(row.job.prefix) {
-		row.next = row.job.prefix[row.fed]
-		return true
-	}
-	tok := pickToken(row.st.logits, *opts)
-	row.out = append(row.out, tok)
-	if opts.OnToken != nil {
-		opts.OnToken(tok)
-	}
-	if opts.StopToken > 0 && tok == opts.StopToken {
+// proceed runs the shared row's transition on the logits of the step just
+// taken (nil at admission) and reports whether the row stays live. The
+// engine's one addition to decodeRow.advance: a dead job context retires
+// the row at the step boundary with its partial output.
+func (row *engineRow) proceed(logits []float64) bool {
+	if row.job.ctx.Err() != nil {
 		return false
 	}
-	if opts.Stop != nil && opts.Stop(row.out) {
-		return false
-	}
-	if len(row.out) == row.job.maxNew {
-		return false
-	}
-	row.next = tok
-	return true
+	var live bool
+	row.next, live = row.advance(logits)
+	return live
 }
 
 // admit fills free batch slots from the queue (FIFO). Jobs whose context
@@ -419,23 +402,18 @@ func (e *Engine) admit(active []*engineRow, free *[]*genState) []*engineRow {
 		if onAdmit != nil {
 			onAdmit(now.Sub(job.enq).Seconds())
 		}
-		if job.ctx.Err() != nil || job.opts.cancelled() {
-			job.out = nil
+		row := &engineRow{decodeRow: newDecodeRow(job.prefix, job.maxNew, job.opts), job: job, start: now}
+		if !row.proceed(nil) {
 			close(job.done)
 			e.retired.Add(1)
 			continue
 		}
-		var st *genState
 		if k := len(*free); k > 0 {
-			st, *free = (*free)[k-1], (*free)[:k-1]
+			row.st, *free = (*free)[k-1], (*free)[:k-1]
 		} else {
-			st = e.m.newGenState()
+			row.st = e.m.newGenState()
 		}
-		active = append(active, &engineRow{
-			job: job, st: st, next: job.prefix[0],
-			out:   make([]int, 0, job.maxNew),
-			start: now,
-		})
+		active = append(active, row)
 	}
 	e.active.Store(int32(len(active)))
 	return active

@@ -162,13 +162,6 @@ func projectLogits(logits, hf, emb []float64, d int) {
 	})
 }
 
-// windowHopDiv sets the re-prime stride of the windowed decode path: when
-// the cache fills, the state is rebuilt over the last Ctx - Ctx/windowHopDiv
-// tokens, buying Ctx/windowHopDiv cached steps per rebuild. Amortised cost
-// per token stays O(window), against O(window^2) for the full re-forward
-// the pre-decode-engine code paid.
-const windowHopDiv = 4
-
 // GenerateCached extends prefix by up to maxNew tokens using the KV cache:
 // each token costs O(sequence) instead of O(sequence^2). When prefix+maxNew
 // fits the context window the outputs are identical to Generate. Longer
@@ -182,81 +175,9 @@ func (m *Model) GenerateCached(prefix []int, maxNew int, opts GenOptions) []int 
 	if len(prefix) == 0 {
 		return nil
 	}
-	var start time.Time
-	if m.obs != nil {
-		start = time.Now()
+	if len(prefix) > m.cfg.Ctx {
+		prefix = prefix[len(prefix)-m.cfg.Ctx:]
 	}
-	ctx := m.cfg.Ctx
-	st := m.newGenState()
-
-	// The final emitted token is never fed back, so a request fits the
-	// cache exactly when prefix + maxNew - 1 positions do.
-	windowed := len(prefix)+maxNew-1 > ctx
-	keep := ctx - ctx/windowHopDiv
-	if keep < 1 {
-		keep = 1
-	}
-	seq := prefix
-	if windowed {
-		seq = append(make([]int, 0, len(prefix)+maxNew), prefix...)
-	}
-
-	// Prime over the (possibly truncated) prefix.
-	var logits []float64
-	prime := seq
-	if len(prime) > ctx {
-		prime = prime[len(prime)-ctx:]
-	}
-	for _, tok := range prime {
-		if opts.cancelled() {
-			return nil
-		}
-		logits = st.step(tok)
-	}
-
-	var out []int
-	for len(out) < maxNew && !opts.cancelled() {
-		tok := pickToken(logits, opts)
-		out = append(out, tok)
-		if windowed {
-			seq = append(seq, tok)
-		}
-		if opts.OnToken != nil {
-			opts.OnToken(tok)
-		}
-		if opts.StopToken > 0 && tok == opts.StopToken {
-			break
-		}
-		if opts.Stop != nil && opts.Stop(out) {
-			break
-		}
-		if len(out) == maxNew {
-			break
-		}
-		if st.pos == ctx {
-			// Cache full: re-prime over the freshest window, leaving
-			// ctx/windowHopDiv positions of headroom for cached steps.
-			st.reset()
-			w := seq
-			if len(w) > keep {
-				w = w[len(w)-keep:]
-			}
-			for _, t := range w {
-				// A disconnecting streamer must stop mid-re-prime too:
-				// without this check a cancel arriving here would keep
-				// stepping for up to keep tokens before the outer loop
-				// notices.
-				if opts.cancelled() {
-					break
-				}
-				logits = st.step(t)
-			}
-		} else {
-			logits = st.step(tok)
-		}
-	}
-	if m.obs != nil {
-		m.obs.recordGeneration(len(out), time.Since(start))
-	}
-	return out
+	row := newDecodeRow(prefix, maxNew, opts)
+	return m.decodeSolo(m.newGenState(), &row)
 }

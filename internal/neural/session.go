@@ -289,82 +289,45 @@ func (sc *SessionCache) Generate(id string, prefix []int, maxNew int, opts GenOp
 		return sc.m.GenerateCached(prefix, maxNew, opts), 0
 	}
 	m := sc.m
-	ctx := m.cfg.Ctx
-	if len(prefix)+maxNew-1 > ctx {
+	if len(prefix)+maxNew-1 > m.cfg.Ctx {
 		sc.Invalidate(id)
 		return m.GenerateCached(prefix, maxNew, opts), 0
 	}
-	var start time.Time
-	if m.obs != nil {
-		start = time.Now()
+	st, reused := sc.resume(id, prefix)
+	// At least one prefix token is always stepped (reuse stops before the
+	// final prefix position), so logits are fresh for the first pick.
+	row := newDecodeRow(prefix, maxNew, opts)
+	row.fed = reused
+	out = m.decodeSolo(st, &row)
+	if st.pos >= len(prefix) { // the prime ran to completion
+		sc.reusedSteps.Add(uint64(reused))
+		sc.freshSteps.Add(uint64(len(prefix) - reused))
 	}
-
-	st, fed, reused := sc.resume(id, prefix)
-
-	// Prime the un-reused prefix suffix. At least one token is always
-	// stepped (reuse stops before the final prefix position), so logits are
-	// fresh for the first pick.
-	var logits []float64
-	for _, tok := range prefix[reused:] {
-		if opts.cancelled() {
-			sc.put(id, st, fed, true)
-			return nil, reused
-		}
-		logits = st.step(tok)
-		fed = append(fed, tok)
-	}
-	sc.reusedSteps.Add(uint64(reused))
-	sc.freshSteps.Add(uint64(len(prefix) - reused))
-
-	for len(out) < maxNew && !opts.cancelled() {
-		tok := pickToken(logits, opts)
-		out = append(out, tok)
-		if opts.OnToken != nil {
-			opts.OnToken(tok)
-		}
-		if opts.StopToken > 0 && tok == opts.StopToken {
-			break
-		}
-		if opts.Stop != nil && opts.Stop(out) {
-			break
-		}
-		if len(out) == maxNew || st.pos == ctx {
-			break
-		}
-		logits = st.step(tok)
-		fed = append(fed, tok)
-	}
+	// The state now holds the first st.pos tokens of prefix+out: the final
+	// emitted token is never fed, and a cancel can stop the prime early.
+	fed := append(append(make([]int, 0, len(prefix)+len(out)), prefix...), out...)[:st.pos]
 	sc.put(id, st, fed, true)
-	if m.obs != nil {
-		m.obs.recordGeneration(len(out), time.Since(start))
-	}
 	return out, reused
 }
 
 // resume checks out the session's state and rewinds it to the longest
-// common prefix with the request, returning the state, the tokens it now
-// holds, and how many positions were reused. A cold session (or one whose
-// state diverges at position 0) gets a fresh state.
-func (sc *SessionCache) resume(id string, prefix []int) (st *genState, fed []int, reused int) {
-	fed = make([]int, 0, len(prefix))
+// common prefix with the request, returning the state and how many
+// positions were reused. A cold session (or one whose state diverges at
+// position 0) gets a fresh state.
+func (sc *SessionCache) resume(id string, prefix []int) (st *genState, reused int) {
 	if ent := sc.take(id); ent != nil {
-		lcp := commonPrefixLen(ent.seq, prefix)
 		// Reuse stops one position short of the full prefix: the retained
 		// logits of intermediate steps are gone, so the final prefix token
 		// is always re-stepped to regenerate the next-token distribution.
-		if lcp > len(prefix)-1 {
-			lcp = len(prefix) - 1
-		}
+		lcp := min(commonPrefixLen(ent.seq, prefix), len(prefix)-1)
 		if lcp > 0 {
-			st = ent.st
-			st.truncate(lcp)
-			fed = append(fed, prefix[:lcp]...)
-			return st, fed, lcp
+			ent.st.truncate(lcp)
+			return ent.st, lcp
 		}
 		// Divergence at position 0: the retained state is useless; decode
 		// fresh but keep the checkout so the eventual put balances it.
-		return sc.m.newGenState(), fed, 0
+		return sc.m.newGenState(), 0
 	}
 	sc.begin()
-	return sc.m.newGenState(), fed, 0
+	return sc.m.newGenState(), 0
 }

@@ -107,45 +107,3 @@ func TestGenerateCancelBeforeStart(t *testing.T) {
 		t.Fatalf("pre-cancelled Generate produced %d tokens", len(out))
 	}
 }
-
-// TestGenerateBatchPerRowHooks: each batched row's hook sees its own tokens
-// only, and cancelling one row retires it while the others decode on.
-func TestGenerateBatchPerRowHooks(t *testing.T) {
-	m, err := NewModel(Config{Vocab: 24, Ctx: 32, Dim: 16, Heads: 2, Layers: 2, Seed: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel := make(chan struct{})
-	seen := make([][]int, 3)
-	reqs := []BatchRequest{
-		{Prefix: []int{1, 2}, MaxNew: 10, Opts: GenOptions{
-			OnToken: func(tok int) { seen[0] = append(seen[0], tok) }}},
-		{Prefix: []int{3, 4}, MaxNew: 10, Opts: GenOptions{
-			Cancel: cancel,
-			OnToken: func(tok int) {
-				seen[1] = append(seen[1], tok)
-				if len(seen[1]) == 2 {
-					close(cancel)
-				}
-			}}},
-		{Prefix: []int{5, 6}, MaxNew: 10, Opts: GenOptions{
-			OnToken: func(tok int) { seen[2] = append(seen[2], tok) }}},
-	}
-	outs := m.GenerateBatch(reqs)
-	for i, out := range outs {
-		if len(seen[i]) != len(out) {
-			t.Fatalf("row %d: hook saw %d tokens, output has %d", i, len(seen[i]), len(out))
-		}
-		for j := range out {
-			if seen[i][j] != out[j] {
-				t.Fatalf("row %d token %d: hook %d, output %d", i, j, seen[i][j], out[j])
-			}
-		}
-	}
-	if len(outs[1]) >= 10 {
-		t.Errorf("cancelled row ran to completion: %d tokens", len(outs[1]))
-	}
-	if len(outs[0]) != 10 || len(outs[2]) != 10 {
-		t.Errorf("uncancelled rows cut short: %d and %d tokens", len(outs[0]), len(outs[2]))
-	}
-}

@@ -74,10 +74,12 @@ func (ix *Index) Build() {
 		ix.idf[tok] = math.Log(1 + n/float64(len(ids)))
 	}
 	ix.norms = make([]float64, len(ix.entries))
+	var toks []int
 	for i := range ix.entries {
+		toks = sortedTokens(toks, ix.counts[i])
 		s := 0.0
-		for tok, c := range ix.counts[i] {
-			w := float64(c) * ix.idf[tok]
+		for _, tok := range toks {
+			w := float64(ix.counts[i][tok]) * ix.idf[tok]
 			s += w * w
 		}
 		ix.norms[i] = math.Sqrt(s)
@@ -95,9 +97,10 @@ func (ix *Index) Query(key []int, k int) []Match {
 		return nil
 	}
 	q := tokenCounts(key)
+	toks := sortedTokens(nil, q)
 	qnorm := 0.0
-	for tok, c := range q {
-		w := float64(c) * ix.idf[tok] // unseen tokens have idf 0
+	for _, tok := range toks {
+		w := float64(q[tok]) * ix.idf[tok] // unseen tokens have idf 0
 		qnorm += w * w
 	}
 	if qnorm == 0 {
@@ -106,12 +109,12 @@ func (ix *Index) Query(key []int, k int) []Match {
 	qnorm = math.Sqrt(qnorm)
 
 	scores := make(map[int32]float64)
-	for tok, qc := range q {
+	for _, tok := range toks {
 		idf := ix.idf[tok]
 		if idf == 0 {
 			continue
 		}
-		qw := float64(qc) * idf
+		qw := float64(q[tok]) * idf
 		for _, id := range ix.postings[tok] {
 			scores[id] += qw * float64(ix.counts[id][tok]) * idf
 		}
@@ -143,6 +146,20 @@ func (ix *Index) Best(key []int) (Match, bool) {
 		return Match{}, false
 	}
 	return m[0], true
+}
+
+// sortedTokens returns the keys of counts in ascending order, reusing buf.
+// Every floating-point sum over a token bag walks this order: Go's map
+// order changes per iteration, and a sum's rounding depends on its order,
+// so summing in map order would score duplicate entries an ulp apart in a
+// way that differs from call to call and from replica to replica.
+func sortedTokens(buf []int, counts map[int]int) []int {
+	buf = buf[:0]
+	for tok := range counts {
+		buf = append(buf, tok)
+	}
+	sort.Ints(buf)
+	return buf
 }
 
 func tokenCounts(seq []int) map[int]int {

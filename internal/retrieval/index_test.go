@@ -122,3 +122,55 @@ func TestRebuildAfterAdd(t *testing.T) {
 		t.Errorf("new entry not retrievable: %+v %v", m, ok)
 	}
 }
+
+// TestTwinEntriesScoreDeterministically pins the summation order of Build
+// and Query: an index holding the same key twice must score both copies
+// bit-identically on every call, so the tie always breaks on the lower
+// index. Summed in map order the two norms and dot products differed by a
+// rounding error that changed per call, and replicas disagreed on Best.
+func TestTwinEntriesScoreDeterministically(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ix := New()
+	// Background entries give every token its own IDF weight, so the sums
+	// mix magnitudes and their rounding depends on the order.
+	for i := 0; i < 40; i++ {
+		key := make([]int, 6+rng.Intn(10))
+		for j := range key {
+			key[j] = rng.Intn(60)
+		}
+		ix.Add(key, []int{i})
+	}
+	twin := make([]int, 0, 40)
+	for tok := 0; tok < 24; tok++ {
+		for c := 0; c <= tok%4; c++ {
+			twin = append(twin, tok)
+		}
+	}
+	first := ix.Len()
+	ix.Add(twin, []int{1000})
+	ix.Add(append([]int(nil), twin...), []int{1001})
+	ix.Build()
+
+	query := append([]int{58, 59}, twin[3:]...)
+	want := ix.Query(query, 4)
+	if len(want) < 2 || want[0].Index != first || want[1].Index != first+1 {
+		t.Fatalf("twins are not the two best matches in index order: %+v", want)
+	}
+	if want[0].Score != want[1].Score {
+		t.Fatalf("twin entries scored %v and %v", want[0].Score, want[1].Score)
+	}
+	for i := 0; i < 200; i++ {
+		got := ix.Query(query, 4)
+		if len(got) != len(want) {
+			t.Fatalf("call %d returned %d matches, first call %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("call %d match %d = %+v, first call %+v", i, j, got[j], want[j])
+			}
+		}
+		if best, ok := ix.Best(query); !ok || best.Index != first {
+			t.Fatalf("call %d: Best = %+v, want index %d", i, best, first)
+		}
+	}
+}

@@ -1,4 +1,4 @@
-// Benchmarks backing BENCH_PR9.json: router-forwarded throughput over a
+// Router microbenchmarks: router-forwarded throughput over a
 // single replica and a 3-replica fleet, plus the steady-state spillover
 // path (dead owner with an open breaker, request served by the ring
 // successor). Replicas are real in-process serve instances reached over

@@ -3,55 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// TestBatcherShortResultFansOutError pins the flush fan-out fix: a batch
-// predictor that returns fewer results than requests with a nil error must
-// produce a clear error on every waiter. Before the length check, flush
-// indexed vals[i] past the short slice and panicked on the caller's
-// goroutine, stranding every other waiter in the batch.
-func TestBatcherShortResultFansOutError(t *testing.T) {
-	b := newBatcher(time.Hour, 2, func(reqs []Request) ([]string, error) {
-		return make([]string, len(reqs)-1), nil // one row short, no error
-	})
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct prompts, so the size trigger flushes at maxBatch=2.
-			_, errs[i] = b.do(context.Background(), Request{Prompt: string(rune('a' + i))})
-		}(i)
-	}
-	wg.Wait()
-
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("waiter %d: got nil error for short batch result", i)
-		}
-		if !strings.Contains(err.Error(), "1 results for 2 requests") {
-			t.Errorf("waiter %d: err = %v, want short-result message", i, err)
-		}
-	}
-}
-
-// TestBatcherLongResultFansOutError covers the other side of the length
-// validation: extra rows are just as much a contract violation as missing
-// ones, even though they never panicked.
-func TestBatcherLongResultFansOutError(t *testing.T) {
-	b := newBatcher(time.Millisecond, 8, func(reqs []Request) ([]string, error) {
-		return make([]string, len(reqs)+3), nil
-	})
-	if _, err := b.do(context.Background(), Request{Prompt: "p"}); err == nil {
-		t.Fatal("got nil error for oversized batch result")
-	}
-}
 
 // TestFlightAbandonedWaiterNotCoalesced pins the singleflight accounting fix:
 // a waiter whose ctx expires before the leader finishes must report

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"wisdom/internal/observe"
 )
@@ -28,7 +27,6 @@ type schedEchoModel struct {
 
 	mu               sync.Mutex
 	plainCalls       int
-	batchCalls       int
 	streamCalls      int
 	schedCalls       int
 	schedStreamCalls int
@@ -44,17 +42,6 @@ func (m *schedEchoModel) Predict(_, prompt string) string {
 	m.plainCalls++
 	m.mu.Unlock()
 	return m.answer(prompt)
-}
-
-func (m *schedEchoModel) PredictBatch(_, prompts []string) []string {
-	m.mu.Lock()
-	m.batchCalls++
-	m.mu.Unlock()
-	out := make([]string, len(prompts))
-	for i, p := range prompts {
-		out[i] = m.answer(p)
-	}
-	return out
 }
 
 func (m *schedEchoModel) PredictStream(_ context.Context, _, prompt string, emit func(string)) string {
@@ -100,29 +87,20 @@ func (m *schedEchoModel) SetSchedQueueWaitObserver(fn func(float64)) {
 	m.mu.Unlock()
 }
 
-func (m *schedEchoModel) calls() (plain, batch, stream, sched, schedStream int) {
+func (m *schedEchoModel) calls() (plain, stream, sched, schedStream int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.plainCalls, m.batchCalls, m.streamCalls, m.schedCalls, m.schedStreamCalls
+	return m.plainCalls, m.streamCalls, m.schedCalls, m.schedStreamCalls
 }
 
 // TestSchedRoutedThroughEngine checks a server over a scheduler-enabled
-// model routes unary requests through PredictSched — superseding the
-// micro-batcher even when batching options are set — and still caches the
+// model routes unary requests through PredictSched and still caches the
 // answer.
 func TestSchedRoutedThroughEngine(t *testing.T) {
 	model := &schedEchoModel{enabled: true}
-	s := NewServerWithOptions(model, "sched-test", Options{
-		Workers:     2,
-		CacheSize:   8,
-		BatchWindow: 5 * time.Millisecond,
-		MaxBatch:    4,
-	})
+	s := NewServerWithOptions(model, "sched-test", Options{Workers: 2, CacheSize: 8})
 	if s.sched == nil || s.schedStream == nil {
 		t.Fatal("scheduler routing not enabled")
-	}
-	if s.batcher != nil {
-		t.Fatal("micro-batcher created alongside the scheduler")
 	}
 
 	resp, err := s.predict(context.Background(), Request{Prompt: "p"}, "http")
@@ -132,9 +110,9 @@ func TestSchedRoutedThroughEngine(t *testing.T) {
 	if resp.Suggestion != model.answer("p") {
 		t.Errorf("suggestion = %q", resp.Suggestion)
 	}
-	plain, batch, _, sched, _ := model.calls()
-	if sched != 1 || plain != 0 || batch != 0 {
-		t.Errorf("calls plain=%d batch=%d sched=%d, want only sched=1", plain, batch, sched)
+	plain, _, sched, _ := model.calls()
+	if sched != 1 || plain != 0 {
+		t.Errorf("calls plain=%d sched=%d, want only sched=1", plain, sched)
 	}
 
 	// The answer must have landed in the cache: a repeat is a cache hit that
@@ -146,30 +124,23 @@ func TestSchedRoutedThroughEngine(t *testing.T) {
 	if !resp.Cached {
 		t.Error("repeat request missed the cache")
 	}
-	if _, _, _, sched, _ = model.calls(); sched != 1 {
+	if _, _, sched, _ = model.calls(); sched != 1 {
 		t.Errorf("cached repeat reached the engine: sched=%d", sched)
 	}
 }
 
 // TestSchedDisabledKeepsPipeline checks a model reporting the scheduler
-// disabled keeps the ordinary pipeline, micro-batcher included.
+// disabled keeps the ordinary pipeline.
 func TestSchedDisabledKeepsPipeline(t *testing.T) {
 	model := &schedEchoModel{enabled: false}
-	s := NewServerWithOptions(model, "sched-off", Options{
-		Workers:     1,
-		BatchWindow: time.Millisecond,
-		MaxBatch:    2,
-	})
+	s := NewServerWithOptions(model, "sched-off", Options{Workers: 1})
 	if s.sched != nil {
 		t.Fatal("scheduler routing enabled despite disabled stats")
-	}
-	if s.batcher == nil {
-		t.Fatal("micro-batcher not created with the scheduler disabled")
 	}
 	if _, err := s.predict(context.Background(), Request{Prompt: "p"}, "http"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, sched, _ := model.calls(); sched != 0 {
+	if _, _, sched, _ := model.calls(); sched != 0 {
 		t.Errorf("PredictSched called on disabled model: %d", sched)
 	}
 }
@@ -230,7 +201,7 @@ func TestSchedStreamRouting(t *testing.T) {
 	if got != model.answer("p") || resp.Suggestion != got {
 		t.Errorf("streamed %q, final %q", got, resp.Suggestion)
 	}
-	if _, _, stream, _, schedStream := model.calls(); schedStream != 1 || stream != 0 {
+	if _, stream, _, schedStream := model.calls(); schedStream != 1 || stream != 0 {
 		t.Errorf("stream calls stateless=%d sched=%d, want only sched=1", stream, schedStream)
 	}
 

@@ -43,13 +43,12 @@
 // /v1/completions/stream answers with Server-Sent Events (delta events as
 // text is produced, a terminal done event carrying the full Response), and
 // the RPC op "stream" answers one request frame with a sequence of
-// StreamFrame frames. Streams bypass the singleflight group and the
-// micro-batcher — their deltas belong to one client — but share the cache
-// and the worker pool, and admission happens before the first byte is
-// written so overload sheds a stream as a clean 503/error frame, never a
-// torn half-stream. A client that disconnects mid-stream cancels the decode
-// loop within one token, freeing its worker slot. See predictStream and
-// docs/PROTOCOL.md.
+// StreamFrame frames. Streams bypass the singleflight group — their deltas
+// belong to one client — but share the cache and the worker pool, and
+// admission happens before the first byte is written so overload sheds a
+// stream as a clean 503/error frame, never a torn half-stream. A client
+// that disconnects mid-stream cancels the decode loop within one token,
+// freeing its worker slot. See predictStream and docs/PROTOCOL.md.
 //
 // # Wire protocol
 //
@@ -299,13 +298,6 @@ type Options struct {
 	// MaxBodyBytes caps an HTTP request body (<= 0: 1 MiB, matching the
 	// RPC frame limit).
 	MaxBodyBytes int64
-	// BatchWindow is how long the micro-batcher holds the first request of
-	// a batch to gather concurrent non-identical requests into one decode.
-	// Zero disables micro-batching (the default).
-	BatchWindow time.Duration
-	// MaxBatch caps how many requests decode together; reaching it flushes
-	// the batch immediately. <= 1 disables micro-batching.
-	MaxBatch int
 	// ConnHook, when set, wraps every accepted RPC connection before the
 	// server reads from it — the transport seam the resilience package's
 	// fault injector plugs into (resilience.Injector.WrapConn). Production
@@ -375,7 +367,6 @@ type Server struct {
 	// request's admission wait (queueing plus coalesced waiting).
 	flight     *Flight
 	pool       *Pool
-	batcher    *batcher
 	reqTimeout time.Duration
 	maxBody    int64
 
@@ -468,53 +459,7 @@ func NewServerWithOptions(model Predictor, modelName string, opts Options) *Serv
 	if opts.CacheSize > 0 {
 		s.cache = NewCache(opts.CacheSize)
 	}
-	// Micro-batching needs a model with a batched decode path; models
-	// without one keep the per-request pipeline regardless of the options.
-	// The continuous-batching scheduler supersedes the micro-batcher: the
-	// engine batches at step granularity, so holding requests in a window
-	// to gather a batch would only add latency in front of it.
-	if s.sched == nil && opts.MaxBatch > 1 && opts.BatchWindow > 0 {
-		if bp, ok := model.(BatchPredictor); ok {
-			s.batcher = newBatcher(opts.BatchWindow, opts.MaxBatch, s.execBatch(bp))
-		}
-	}
 	return s
-}
-
-// execBatch returns the batcher's decode function: admit the whole batch
-// through ONE worker-pool slot, record its size, and run the model's
-// batched prediction. One slot per batch (not per request) keeps pool
-// occupancy meaning "concurrent decodes"; fairness against unbatched
-// deployments is unchanged because a batch does the work of its requests
-// in one pass. Admission uses a fresh context bounded by the request
-// timeout: the batch must run even if the submitting caller gave up.
-func (s *Server) execBatch(bp BatchPredictor) func([]Request) ([]string, error) {
-	return func(reqs []Request) ([]string, error) {
-		ctx := context.Background()
-		if s.reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
-			defer cancel()
-		}
-		if s.pool != nil {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-		}
-		if m := s.met; m != nil {
-			m.batchSize.Observe(float64(len(reqs)))
-		}
-		if len(reqs) == 1 {
-			return []string{bp.Predict(reqs[0].Context, reqs[0].Prompt)}, nil
-		}
-		contexts := make([]string, len(reqs))
-		prompts := make([]string, len(reqs))
-		for i, r := range reqs {
-			contexts[i], prompts[i] = r.Context, r.Prompt
-		}
-		return bp.PredictBatch(contexts, prompts), nil
-	}
 }
 
 // Requests returns the number of predictions served (both protocols).
@@ -549,7 +494,6 @@ type serverMetrics struct {
 	shedRPC        *observe.Counter
 	servedTokens   *observe.Counter
 	tokensPerSec   *observe.Gauge
-	batchSize      *observe.Histogram
 	degradedTotal  *observe.Counter
 
 	streamTTFT          *observe.Histogram
@@ -624,9 +568,6 @@ func (s *Server) Instrument(reg *observe.Registry) {
 			"Whitespace-delimited tokens in served suggestions."),
 		tokensPerSec: reg.Gauge("wisdom_served_tokens_per_second",
 			"Generation rate of the most recent uncached prediction."),
-		batchSize: reg.Histogram("wisdom_batch_size",
-			"Requests decoded together per micro-batch.",
-			[]float64{1, 2, 4, 8, 16, 32}),
 		degradedTotal: reg.Counter("wisdom_degraded_responses_total",
 			"Predictions answered by a degradation-chain fallback tier."),
 		streamTTFT: reg.Histogram("wisdom_stream_ttft_seconds",
@@ -794,12 +735,11 @@ func (s *Server) answer(ctx context.Context, req Request) (Response, error) {
 	if s.route != nil {
 		return s.answerRoute(ctx, req, key)
 	}
-	// Session requests route around singleflight and the micro-batcher: the
-	// session's decode state is exclusive to one generation at a time, so
-	// neither sharing a leader's answer (whose decode advances a different
-	// session — or none) nor folding the request into a batch row preserves
-	// the state handoff. The worker pool still bounds concurrency, and the
-	// answer still lands in the response cache — session output is
+	// Session requests route around singleflight: the session's decode
+	// state is exclusive to one generation at a time, so sharing a leader's
+	// answer (whose decode advances a different session — or none) would
+	// break the state handoff. The worker pool still bounds concurrency, and
+	// the answer still lands in the response cache — session output is
 	// byte-identical to stateless output for the same request.
 	if req.SessionID != "" && s.session != nil {
 		if s.pool != nil {
@@ -818,41 +758,9 @@ func (s *Server) answer(ctx context.Context, req Request) (Response, error) {
 		return Response{Suggestion: v}, nil
 	}
 	invoke := func() (string, bool, error) {
-		if s.sched != nil {
-			// Continuous-batching path: the engine merges concurrent decodes
-			// at step granularity, so the request goes straight in — no
-			// batching window. The pool slot still bounds admitted requests
-			// (one slot per scheduled row) and is released on every exit
-			// path, including a queue-full shed, so a rejected request never
-			// leaks capacity.
-			if s.pool != nil {
-				if err := s.pool.Acquire(ctx); err != nil {
-					return "", false, err
-				}
-				defer s.pool.Release()
-			}
-			v, err := s.sched.PredictSched(ctx, req.Context, req.Prompt)
-			if err != nil {
-				return "", false, err
-			}
-			if s.cache != nil {
-				s.cache.Put(key, v)
-			}
-			return v, false, nil
-		}
-		if s.batcher != nil {
-			// Micro-batching path: the batcher gathers concurrent keys and
-			// its exec function admits the whole batch through one pool
-			// slot, so no slot is taken here.
-			v, err := s.batcher.do(ctx, req)
-			if err != nil {
-				return "", false, err
-			}
-			if s.cache != nil {
-				s.cache.Put(key, v)
-			}
-			return v, false, nil
-		}
+		// One pool slot per admitted request, released on every exit path
+		// (a queue-full shed by the scheduler included), so a rejected
+		// request never leaks capacity.
 		if s.pool != nil {
 			if err := s.pool.Acquire(ctx); err != nil {
 				return "", false, err
@@ -861,9 +769,17 @@ func (s *Server) answer(ctx context.Context, req Request) (Response, error) {
 		}
 		var suggestion string
 		var degraded bool
-		if s.degrade != nil {
+		switch {
+		case s.sched != nil:
+			// Continuous-batching path: the engine merges concurrent decodes
+			// at step granularity, so the request goes straight in.
+			var err error
+			if suggestion, err = s.sched.PredictSched(ctx, req.Context, req.Prompt); err != nil {
+				return "", false, err
+			}
+		case s.degrade != nil:
 			suggestion, degraded = s.degrade.PredictDegraded(req.Context, req.Prompt)
-		} else {
+		default:
 			suggestion = s.model.Predict(req.Context, req.Prompt)
 		}
 		// Degraded answers stay out of the cache: they are best-effort, and

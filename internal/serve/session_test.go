@@ -22,9 +22,10 @@ type sessionEchoModel struct {
 	mu          sync.Mutex
 	sessionIDs  []string // ids seen by PredictSession/PredictStreamSession
 	plainCalls  int      // Predict invocations
-	batchCalls  int      // PredictBatch invocations
 	streamCalls int      // PredictStream invocations
 	evictions   atomic.Uint64
+	// onSession, when set, runs inside PredictSession before it answers.
+	onSession func(sessionID string)
 }
 
 func (m *sessionEchoModel) answer(prompt string) string {
@@ -38,21 +39,13 @@ func (m *sessionEchoModel) Predict(_, prompt string) string {
 	return m.answer(prompt)
 }
 
-func (m *sessionEchoModel) PredictBatch(_, prompts []string) []string {
-	m.mu.Lock()
-	m.batchCalls++
-	m.mu.Unlock()
-	out := make([]string, len(prompts))
-	for i, p := range prompts {
-		out[i] = m.answer(p)
-	}
-	return out
-}
-
 func (m *sessionEchoModel) PredictSession(sessionID, _, prompt string) string {
 	m.mu.Lock()
 	m.sessionIDs = append(m.sessionIDs, sessionID)
 	m.mu.Unlock()
+	if m.onSession != nil {
+		m.onSession(sessionID)
+	}
 	return m.answer(prompt)
 }
 
@@ -84,42 +77,59 @@ func (m *sessionEchoModel) seenSessions() []string {
 	return append([]string(nil), m.sessionIDs...)
 }
 
-// TestSessionRoutedAroundBatcher checks that a session request reaches
-// PredictSession directly — bypassing the micro-batcher and singleflight,
-// whose shared decodes cannot carry exclusive session state — while
-// sessionless requests keep the ordinary pipeline.
-func TestSessionRoutedAroundBatcher(t *testing.T) {
-	model := &sessionEchoModel{enabled: true}
-	s := NewServerWithOptions(model, "sess-test", Options{
-		Workers:     2,
-		BatchWindow: 5 * time.Millisecond,
-		MaxBatch:    4,
-	})
-	if s.batcher == nil {
-		t.Fatal("batcher not enabled")
-	}
+// TestSessionRoutedAroundSingleflight checks that a session request reaches
+// PredictSession directly — bypassing singleflight, whose shared decode
+// cannot carry exclusive session state — while sessionless requests keep
+// the ordinary pipeline: two concurrent identical requests under different
+// session ids must both be inside PredictSession at once.
+func TestSessionRoutedAroundSingleflight(t *testing.T) {
+	arrived := make(chan string, 2)
+	release := make(chan struct{})
+	model := &sessionEchoModel{enabled: true, onSession: func(id string) {
+		arrived <- id
+		<-release
+	}}
+	s := NewServerWithOptions(model, "sess-test", Options{Workers: 2})
 	if s.session == nil {
 		t.Fatal("session routing not enabled")
 	}
 
-	resp, err := s.predict(context.Background(), Request{Prompt: "p", SessionID: "abc"}, "http")
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	resps := make([]Response, 2)
+	errs := make([]error, 2)
+	for i, id := range []string{"abc", "xyz"} {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			resps[i], errs[i] = s.predict(context.Background(), Request{Prompt: "p", SessionID: id}, "http")
+		}(i, id)
 	}
-	if resp.Suggestion != model.answer("p") {
-		t.Errorf("suggestion = %q", resp.Suggestion)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatal("identical session requests were coalesced: only one reached PredictSession")
+		}
 	}
-	if got := model.seenSessions(); len(got) != 1 || got[0] != "abc" {
-		t.Errorf("PredictSession saw %v, want [abc]", got)
+	close(release)
+	wg.Wait()
+	for i := range resps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if resps[i].Suggestion != model.answer("p") || resps[i].Coalesced {
+			t.Errorf("response %d = %+v, want an uncoalesced answer", i, resps[i])
+		}
 	}
-	if model.plainCalls != 0 || model.batchCalls != 0 {
-		t.Errorf("session request leaked into plain/batch path: %d/%d", model.plainCalls, model.batchCalls)
+	if model.plainCalls != 0 {
+		t.Errorf("session request leaked into the plain path: %d", model.plainCalls)
 	}
 
+	model.onSession = nil
 	if _, err := s.predict(context.Background(), Request{Prompt: "q"}, "http"); err != nil {
 		t.Fatal(err)
 	}
-	if got := model.seenSessions(); len(got) != 1 {
+	if got := model.seenSessions(); len(got) != 2 {
 		t.Errorf("sessionless request reached PredictSession: %v", got)
 	}
 }

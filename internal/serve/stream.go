@@ -1,12 +1,12 @@
 // Streaming serving path: the SSE endpoint, the streamed RPC frame variant,
 // and the client side of both. See docs/PROTOCOL.md for the wire format.
 //
-// A stream bypasses the singleflight group and the micro-batcher — each
-// stream is an interactive session whose deltas belong to exactly one
-// client — but still consults the response cache (a hit streams as a single
-// delta) and still admits through the worker pool, BEFORE the first byte is
-// written, so overload sheds a stream as a clean HTTP 503 / error frame
-// rather than a torn half-stream.
+// A stream bypasses the singleflight group — each stream is an interactive
+// session whose deltas belong to exactly one client — but still consults
+// the response cache (a hit streams as a single delta) and still admits
+// through the worker pool, BEFORE the first byte is written, so overload
+// sheds a stream as a clean HTTP 503 / error frame rather than a torn
+// half-stream.
 
 package serve
 
@@ -166,7 +166,7 @@ func (s *Server) predictStream(ctx context.Context, req Request, proto string, s
 	}
 
 	// Predictors without a streaming path answer through the full unary
-	// pipeline (cache, singleflight, batcher, pool) and stream as a single
+	// pipeline (cache, singleflight, pool) and stream as a single
 	// delta; sheds still happen before any byte is written.
 	if s.stream == nil && s.routeStream == nil {
 		resp, err := s.predict(ctx, req, proto)
@@ -278,7 +278,7 @@ func (s *Server) predictStream(ctx context.Context, req Request, proto string, s
 	case req.SessionID != "" && s.sessionStream != nil:
 		// Session streams reuse the session's retained prefix KV state —
 		// time-to-first-body-delta shrinks to the changed suffix. Streams
-		// already bypass singleflight and the batcher, which is exactly the
+		// already bypass singleflight, which is exactly the
 		// isolation exclusive session state needs.
 		if req.SessionReset && s.sessionReset != nil {
 			s.sessionReset.ResetSession(req.SessionID)

@@ -33,16 +33,6 @@ type Generator interface {
 	Complete(prefix, prompt []int, maxNew int, stop func(generated []int) bool, stopToken int) []int
 }
 
-// BatchGenerator is implemented by generators that can decode several
-// sequences together (the transformer's batched step kernels). All slices
-// are indexed per sequence; each row must produce exactly what a serial
-// Complete call with the same arguments would. Rows may have different
-// prefixes, budgets, and stop functions.
-type BatchGenerator interface {
-	Generator
-	CompleteBatch(prefixes, prompts [][]int, maxNew []int, stops []func(generated []int) bool, stopToken int) [][]int
-}
-
 // promptTokens encodes a natural-language prompt for the lexical channel:
 // the original tokens plus, when different, the lower-cased tokens, so
 // "Start SSH server" associates with bodies written as "ssh" while exact
@@ -265,33 +255,26 @@ type NeuralLM struct {
 	engine *neural.Engine
 }
 
-// Complete implements Generator. Decoding uses the KV cache, which is
-// bit-identical to the full forward pass but linear per token.
-func (g *NeuralLM) Complete(prefix, _ []int, maxNew int, stop func([]int) bool, stopToken int) []int {
-	opts := neural.GenOptions{Stop: stop, StopToken: stopToken, Temperature: g.Temperature, TopK: g.TopK}
+// genOpts builds the GenOptions of one decode. Every NeuralLM path — solo,
+// streamed, session and scheduled — goes through it, so they all run the
+// same stop conditions and, when sampling, a per-request source seeded the
+// same way: that is what keeps their outputs byte-identical.
+func (g *NeuralLM) genOpts(stop func([]int) bool, stopToken int, onToken func(int), cancel <-chan struct{}) neural.GenOptions {
+	opts := neural.GenOptions{
+		Stop: stop, StopToken: stopToken,
+		Temperature: g.Temperature, TopK: g.TopK,
+		OnToken: onToken, Cancel: cancel,
+	}
 	if g.Temperature > 0 {
 		opts.Rand = rand.New(rand.NewSource(g.Seed))
 	}
-	return g.Model.GenerateCached(prefix, maxNew, opts)
+	return opts
 }
 
-// CompleteBatch implements BatchGenerator on the transformer's batched
-// decode engine. Each row gets its own sampling source seeded exactly as a
-// serial Complete call would, so batched and serial outputs are identical
-// row for row.
-func (g *NeuralLM) CompleteBatch(prefixes, _ [][]int, maxNew []int, stops []func([]int) bool, stopToken int) [][]int {
-	reqs := make([]neural.BatchRequest, len(prefixes))
-	for i := range prefixes {
-		opts := neural.GenOptions{StopToken: stopToken, Temperature: g.Temperature, TopK: g.TopK}
-		if stops != nil {
-			opts.Stop = stops[i]
-		}
-		if g.Temperature > 0 {
-			opts.Rand = rand.New(rand.NewSource(g.Seed))
-		}
-		reqs[i] = neural.BatchRequest{Prefix: prefixes[i], MaxNew: maxNew[i], Opts: opts}
-	}
-	return g.Model.GenerateBatch(reqs)
+// Complete implements Generator. Decoding uses the KV cache, which is
+// bit-identical to the full forward pass but linear per token.
+func (g *NeuralLM) Complete(prefix, _ []int, maxNew int, stop func([]int) bool, stopToken int) []int {
+	return g.Model.GenerateCached(prefix, maxNew, g.genOpts(stop, stopToken, nil, nil))
 }
 
 // Model is one NL→Ansible generation system: a tokenizer, a language model,
@@ -354,7 +337,7 @@ type genPlan struct {
 	stopToken int
 }
 
-// planSample runs everything in GenerateSample that precedes the LM call:
+// planSample runs everything in generate that precedes the LM call:
 // prompt rendering, the retrieval channel, and context truncation.
 func (m *Model) planSample(s dataset.Sample) genPlan {
 	maxTask, maxPB := m.defaults()
@@ -405,57 +388,46 @@ func (m *Model) finishSample(out []int) string {
 	return CutRepeatedLines(text)
 }
 
+// decoder starts the LM call of one planned request and returns the
+// function that waits for its tokens. cancel and onToken (both optional)
+// are the streaming hooks. The start/wait split is for the scheduler: its
+// admission can fail, and must do so before a stream emits its first byte;
+// the other decoders do all their work in wait and never fail.
+type decoder func(p genPlan, cancel <-chan struct{}, onToken func(int)) (wait func() []int, err error)
+
+// soloDecoder decodes on the caller's goroutine with no state carried
+// between requests. An LM without a streaming path (the n-gram zoo) ignores
+// the hooks and returns its tokens in one piece: sub-second n-gram decodes
+// gain nothing from per-token emission.
+func (m *Model) soloDecoder(p genPlan, cancel <-chan struct{}, onToken func(int)) (func() []int, error) {
+	return func() []int {
+		if sg, ok := m.LM.(StreamGenerator); ok {
+			return sg.CompleteStream(cancel, p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken, onToken)
+		}
+		return m.LM.Complete(p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken)
+	}, nil
+}
+
+// generate produces the raw completion text for one sample: retrieval hit
+// or plan → decode → detokenise.
+func (m *Model) generate(s dataset.Sample, dec decoder) (string, error) {
+	p := m.planSample(s)
+	if p.done {
+		return p.text, nil
+	}
+	wait, err := dec(p, nil, nil)
+	if err != nil {
+		return "", err
+	}
+	return m.finishSample(wait()), nil
+}
+
 // GenerateSample produces the completion text for one evaluation sample:
 // the body the model writes after the name line (or after the prefix-style
 // prompt). The output is raw; use dataset.TruncateFirstTask for task types.
 func (m *Model) GenerateSample(s dataset.Sample) string {
-	p := m.planSample(s)
-	if p.done {
-		return p.text
-	}
-	return m.finishSample(m.LM.Complete(p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken))
-}
-
-// GenerateSamples resolves a batch of samples in one call. Samples answered
-// by retrieval return immediately; the rest decode together through the
-// LM's batched path when it implements BatchGenerator (the transformer),
-// and serially otherwise (the n-gram zoo). Outputs are identical to calling
-// GenerateSample per sample, in order.
-func (m *Model) GenerateSamples(samples []dataset.Sample) []string {
-	res := make([]string, len(samples))
-	plans := make([]genPlan, len(samples))
-	var pending []int
-	for i, s := range samples {
-		plans[i] = m.planSample(s)
-		if plans[i].done {
-			res[i] = plans[i].text
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	if len(pending) == 0 {
-		return res
-	}
-	if bg, ok := m.LM.(BatchGenerator); ok && len(pending) > 1 {
-		prefixes := make([][]int, len(pending))
-		prompts := make([][]int, len(pending))
-		maxNew := make([]int, len(pending))
-		stops := make([]func([]int) bool, len(pending))
-		for j, i := range pending {
-			p := &plans[i]
-			prefixes[j], prompts[j], maxNew[j], stops[j] = p.prefix, p.prompt, p.maxNew, p.stop
-		}
-		outs := bg.CompleteBatch(prefixes, prompts, maxNew, stops, plans[pending[0]].stopToken)
-		for j, i := range pending {
-			res[i] = m.finishSample(outs[j])
-		}
-		return res
-	}
-	for _, i := range pending {
-		p := &plans[i]
-		res[i] = m.finishSample(m.LM.Complete(p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken))
-	}
-	return res
+	raw, _ := m.generate(s, m.soloDecoder) // the solo decoder never fails
+	return raw
 }
 
 // CutRepeatedLines truncates a completion at the first exactly-repeated
@@ -601,34 +573,26 @@ func (m *Model) stopFunc(t dataset.GenType, indent int) func([]int) bool {
 // body is empty or fails the strict schema, the nearest memorised
 // completion is offered instead, if one exists at all.
 func (m *Model) Predict(context, prompt string) string {
-	s, nameLine, indent := m.predictSample(context, prompt)
-	return m.finishPredict(s, nameLine, indent, m.GenerateSample(s))
+	out, _ := m.predict(context, prompt, m.soloDecoder) // the solo decoder never fails
+	return out
 }
 
-// PredictBatch answers several independent requests in one decode: the
-// underlying sequences advance together through the transformer's batched
-// step kernels (serial per request for non-batching LMs). Outputs are
-// identical to calling Predict per request, in order. contexts and prompts
-// must have equal length.
-func (m *Model) PredictBatch(contexts, prompts []string) []string {
-	samples := make([]dataset.Sample, len(prompts))
-	nameLines := make([]string, len(prompts))
-	indents := make([]int, len(prompts))
-	for i := range prompts {
-		samples[i], nameLines[i], indents[i] = m.predictSample(contexts[i], prompts[i])
+// predict is the one unary prediction pipeline: sample → generate →
+// product post-processing. The exported Predict* methods differ only in
+// the decoder they hand it.
+func (m *Model) predict(context, prompt string, dec decoder) (string, error) {
+	s, nameLine, indent := m.predictSample(context, prompt)
+	raw, err := m.generate(s, dec)
+	if err != nil {
+		return "", err
 	}
-	raws := m.GenerateSamples(samples)
-	res := make([]string, len(prompts))
-	for i := range raws {
-		res[i] = m.finishPredict(samples[i], nameLines[i], indents[i], raws[i])
-	}
-	return res
+	return m.finishPredict(s, nameLine, indent, raw), nil
 }
 
 // predictSample builds the evaluation sample behind one Predict request.
 func (m *Model) predictSample(context, prompt string) (dataset.Sample, string, int) {
 	indent := 0
-	if strings.Contains(context, "tasks:") {
+	if hasTaskList(context) {
 		indent = 4
 	}
 	nameLine := strings.Repeat(" ", indent) + "- name: " + prompt
@@ -642,6 +606,23 @@ func (m *Model) predictSample(context, prompt string) (dataset.Sample, string, i
 		s.Type = dataset.NLtoT
 	}
 	return s, nameLine, indent
+}
+
+// hasTaskList reports whether the context is a playbook whose new task
+// nests under a play's task list: some line's key is exactly tasks,
+// pre_tasks or post_tasks. A role task file that merely mentions
+// include_tasks: or import_tasks: is not one.
+func hasTaskList(context string) bool {
+	for rest := context; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimPrefix(strings.TrimLeft(line, " "), "- ")
+		key, _, ok := strings.Cut(line, ":")
+		if ok && (key == "tasks" || key == "pre_tasks" || key == "post_tasks") {
+			return true
+		}
+	}
+	return false
 }
 
 // finishPredict applies Predict's product post-processing to a raw sampled

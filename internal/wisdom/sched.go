@@ -2,33 +2,16 @@ package wisdom
 
 import (
 	"context"
-	"math/rand"
 
 	"wisdom/internal/neural"
 )
-
-// schedOpts builds the GenOptions a continuous-batched decode must run with
-// so its output is byte-identical to the serial Complete/CompleteStream
-// paths: same stop conditions and, when sampling, a per-request source
-// seeded exactly as Complete seeds one.
-func (g *NeuralLM) schedOpts(stop func([]int) bool, stopToken int, onToken func(int), cancel <-chan struct{}) neural.GenOptions {
-	opts := neural.GenOptions{
-		Stop: stop, StopToken: stopToken,
-		Temperature: g.Temperature, TopK: g.TopK,
-		OnToken: onToken, Cancel: cancel,
-	}
-	if g.Temperature > 0 {
-		opts.Rand = rand.New(rand.NewSource(g.Seed))
-	}
-	return opts
-}
 
 // EnableScheduler attaches a continuous-batching decode engine to the
 // transformer and reports whether it did: one persistent scheduling loop
 // owns the step batch, admits queued requests into free slots and retires
 // finished ones at every step boundary, so concurrent Predict traffic
 // shares the batched kernels without waiting out the longest request of a
-// micro-batch. Only transformer-backed models (NeuralLM) can batch steps;
+// batch. Only transformer-backed models (NeuralLM) can batch steps;
 // on the n-gram zoo this is a no-op returning false. Call once, after
 // training and before serving traffic.
 func (m *Model) EnableScheduler(cfg neural.EngineConfig) bool {
@@ -81,30 +64,34 @@ func (m *Model) CloseScheduler(ctx context.Context) error {
 	return nil
 }
 
-// PredictSched answers one request like Predict — identical output for
-// identical inputs — but decodes through the continuous-batching engine:
-// the request joins the shared step batch at the next step boundary instead
-// of decoding alone. It fails fast with the engine's overload error
+// schedDecoder decodes through the continuous-batching engine: the request
+// joins the shared step batch at the next step boundary instead of decoding
+// alone. Starting it fails fast with the engine's overload error
 // (classified Overloaded() for the serving layer) when the admission queue
-// is full, and with neural.ErrEngineClosed during shutdown. Without an
-// attached scheduler it falls back to the serial Predict path.
-func (m *Model) PredictSched(ctx context.Context, yamlCtx, prompt string) (string, error) {
+// is full, and with neural.ErrEngineClosed during shutdown. A cancelled ctx
+// retires the sequence at the next step boundary with its partial output.
+// Without an attached scheduler it is the solo decoder.
+func (m *Model) schedDecoder(ctx context.Context) decoder {
 	e := m.scheduler()
 	if e == nil {
-		return m.Predict(yamlCtx, prompt), nil
-	}
-	s, nameLine, indent := m.predictSample(yamlCtx, prompt)
-	plan := m.planSample(s)
-	if plan.done {
-		return m.finishPredict(s, nameLine, indent, plan.text), nil
+		return m.soloDecoder
 	}
 	nl := m.LM.(*NeuralLM)
-	out, err := e.Generate(ctx, plan.prefix, plan.maxNew,
-		nl.schedOpts(plan.stop, plan.stopToken, nil, nil))
-	if err != nil {
-		return "", err
+	return func(p genPlan, cancel <-chan struct{}, onToken func(int)) (func() []int, error) {
+		tk, err := e.Submit(ctx, p.prefix, p.maxNew, nl.genOpts(p.stop, p.stopToken, onToken, cancel))
+		if err != nil {
+			return nil, err
+		}
+		return tk.Wait, nil
 	}
-	return m.finishPredict(s, nameLine, indent, m.finishSample(out)), nil
+}
+
+// PredictSched answers one request like Predict — identical output for
+// identical inputs — but decodes through the continuous-batching engine
+// (see schedDecoder for the admission errors). Without an attached
+// scheduler it is Predict.
+func (m *Model) PredictSched(ctx context.Context, yamlCtx, prompt string) (string, error) {
+	return m.predict(yamlCtx, prompt, m.schedDecoder(ctx))
 }
 
 // PredictStreamSched is PredictStream decoding through the
@@ -115,41 +102,5 @@ func (m *Model) PredictSched(ctx context.Context, yamlCtx, prompt string) (strin
 // request cleanly. A cancelled ctx retires the sequence at the next step
 // boundary; the partial answer assembled so far is returned.
 func (m *Model) PredictStreamSched(ctx context.Context, yamlCtx, prompt string, emit func(delta string)) (string, error) {
-	e := m.scheduler()
-	if e == nil {
-		return m.PredictStream(ctx, yamlCtx, prompt, emit), nil
-	}
-	s, nameLine, indent := m.predictSample(yamlCtx, prompt)
-	plan := m.planSample(s)
-	if plan.done {
-		final := m.finishPredict(s, nameLine, indent, plan.text)
-		emit(final)
-		return final, nil
-	}
-
-	asm := &streamAssembler{indent: indent, emit: emit}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
-	nl := m.LM.(*NeuralLM)
-	// Submit before emitting anything: a queue-full rejection must leave the
-	// stream untouched. Decoding may start before this goroutine emits the
-	// name line, so the token hook parks on begun until begin has run; that
-	// stalls only this sequence's relay goroutine, never the engine loop.
-	// Wait returns only after the hook has seen every token, so the
-	// assembler is safe to read afterwards.
-	begun := make(chan struct{})
-	onToken := func(tok int) { <-begun; asm.onToken(m, tok) }
-	tk, err := e.Submit(ctx, plan.prefix, plan.maxNew,
-		nl.schedOpts(plan.stop, plan.stopToken, onToken, cancel))
-	if err != nil {
-		return "", err
-	}
-	asm.begin(nameLine)
-	close(begun)
-	out := tk.Wait()
-	final := m.finishPredict(s, nameLine, indent, m.finishSample(out))
-	asm.finalize(final)
-	return final, nil
+	return m.predictStream(ctx, yamlCtx, prompt, emit, m.schedDecoder(ctx))
 }

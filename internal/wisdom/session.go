@@ -2,7 +2,6 @@ package wisdom
 
 import (
 	"context"
-	"math/rand"
 
 	"wisdom/internal/neural"
 )
@@ -35,14 +34,7 @@ func (g *NeuralLM) Sessions() *neural.SessionCache { return g.sessions }
 // cache (or with an empty id) it decodes exactly like CompleteStream.
 func (g *NeuralLM) CompleteSession(sessionID string, cancel <-chan struct{}, prefix, _ []int, maxNew int,
 	stop func([]int) bool, stopToken int, onToken func(int)) ([]int, int) {
-	opts := neural.GenOptions{
-		Stop: stop, StopToken: stopToken,
-		Temperature: g.Temperature, TopK: g.TopK,
-		OnToken: onToken, Cancel: cancel,
-	}
-	if g.Temperature > 0 {
-		opts.Rand = rand.New(rand.NewSource(g.Seed))
-	}
+	opts := g.genOpts(stop, stopToken, onToken, cancel)
 	if g.sessions == nil {
 		return g.Model.GenerateCached(prefix, maxNew, opts), 0
 	}
@@ -83,18 +75,24 @@ func (m *Model) SessionStats() (enabled bool, active int, evictions uint64, reus
 // opaque client-chosen affinity key; a future sharded frontend hashes it to
 // route the session to the replica holding its state.
 func (m *Model) PredictSession(sessionID, context, prompt string) string {
-	s, nameLine, indent := m.predictSample(context, prompt)
-	p := m.planSample(s)
-	if p.done {
-		return m.finishPredict(s, nameLine, indent, p.text)
+	out, _ := m.predict(context, prompt, m.sessionDecoder(sessionID)) // session decoders never fail
+	return out
+}
+
+// sessionDecoder decodes on the caller's goroutine, reusing (and then
+// retaining) the named session's prefix state. An empty id, or an LM
+// without session state, decodes solo.
+func (m *Model) sessionDecoder(sessionID string) decoder {
+	sg, ok := m.LM.(SessionGenerator)
+	if !ok || sessionID == "" {
+		return m.soloDecoder
 	}
-	var out []int
-	if sg, ok := m.LM.(SessionGenerator); ok && sessionID != "" {
-		out, _ = sg.CompleteSession(sessionID, nil, p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken, nil)
-	} else {
-		out = m.LM.Complete(p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken)
+	return func(p genPlan, cancel <-chan struct{}, onToken func(int)) (func() []int, error) {
+		return func() []int {
+			out, _ := sg.CompleteSession(sessionID, cancel, p.prefix, p.prompt, p.maxNew, p.stop, p.stopToken, onToken)
+			return out
+		}, nil
 	}
-	return m.finishPredict(s, nameLine, indent, m.finishSample(out))
 }
 
 // ResetSession discards whatever decode state the model retains for
@@ -116,5 +114,6 @@ func (m *Model) ResetSession(sessionID string) {
 // session's retained prefix state so time-to-first-body-delta shrinks to
 // O(changed suffix) on keystroke-shaped request sequences.
 func (m *Model) PredictStreamSession(ctx context.Context, sessionID, yamlCtx, prompt string, emit func(delta string)) string {
-	return m.predictStreamSession(ctx, sessionID, yamlCtx, prompt, emit)
+	final, _ := m.predictStream(ctx, yamlCtx, prompt, emit, m.sessionDecoder(sessionID)) // session decoders never fail
+	return final
 }

@@ -12,7 +12,7 @@ import (
 	"wisdom/internal/tokenizer"
 )
 
-// The session benchmarks back BENCH_PR7.json: the same keystroke exchange —
+// The session benchmarks time the same keystroke exchange —
 // an editor with a playbook already in the buffer, the user finishing a task
 // name — once against a warm session (the previous keystroke's decode state
 // is resident, only the newly typed suffix re-steps) and once stateless

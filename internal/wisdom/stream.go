@@ -2,11 +2,9 @@ package wisdom
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 
 	"wisdom/internal/dataset"
-	"wisdom/internal/neural"
 )
 
 // StreamGenerator is implemented by generators whose decode loop can emit
@@ -29,15 +27,7 @@ type StreamGenerator interface {
 // worker slot).
 func (g *NeuralLM) CompleteStream(cancel <-chan struct{}, prefix, _ []int, maxNew int,
 	stop func([]int) bool, stopToken int, onToken func(int)) []int {
-	opts := neural.GenOptions{
-		Stop: stop, StopToken: stopToken,
-		Temperature: g.Temperature, TopK: g.TopK,
-		OnToken: onToken, Cancel: cancel,
-	}
-	if g.Temperature > 0 {
-		opts.Rand = rand.New(rand.NewSource(g.Seed))
-	}
-	return g.Model.GenerateCached(prefix, maxNew, opts)
+	return g.Model.GenerateCached(prefix, maxNew, g.genOpts(stop, stopToken, onToken, cancel))
 }
 
 // StreamPredictor is the streaming face of a predictor: PredictStream
@@ -74,47 +64,45 @@ type StreamPredictor interface {
 // completion); when that fires, emission stops and the caller reconciles
 // against the returned answer.
 func (m *Model) PredictStream(ctx context.Context, yamlCtx, prompt string, emit func(delta string)) string {
-	return m.predictStreamSession(ctx, "", yamlCtx, prompt, emit)
+	final, _ := m.predictStream(ctx, yamlCtx, prompt, emit, m.soloDecoder) // the solo decoder never fails
+	return final
 }
 
-// predictStreamSession is the shared core of PredictStream and
-// PredictStreamSession: one streamed prediction, optionally keyed to a
-// session whose retained prefix KV state the decode can reuse (sessionID ==
-// "" decodes stateless).
-func (m *Model) predictStreamSession(ctx context.Context, sessionID, yamlCtx, prompt string, emit func(delta string)) string {
+// predictStream is the one streamed prediction pipeline; the exported
+// PredictStream* methods differ only in the decoder they hand it. A decoder
+// error means nothing was emitted, so the caller can shed the request
+// cleanly.
+func (m *Model) predictStream(ctx context.Context, yamlCtx, prompt string, emit func(delta string), dec decoder) (string, error) {
 	s, nameLine, indent := m.predictSample(yamlCtx, prompt)
 	plan := m.planSample(s)
 	if plan.done {
 		// Retrieval hit: the whole answer exists before any decoding.
 		final := m.finishPredict(s, nameLine, indent, plan.text)
 		emit(final)
-		return final
+		return final, nil
 	}
 
 	asm := &streamAssembler{indent: indent, emit: emit}
-	asm.begin(nameLine)
-
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
-	onToken := func(tok int) { asm.onToken(m, tok) }
-	var out []int
-	if sg, ok := m.LM.(SessionGenerator); ok && sessionID != "" {
-		out, _ = sg.CompleteSession(sessionID, cancel, plan.prefix, plan.prompt, plan.maxNew,
-			plan.stop, plan.stopToken, onToken)
-	} else if sg, ok := m.LM.(StreamGenerator); ok {
-		out = sg.CompleteStream(cancel, plan.prefix, plan.prompt, plan.maxNew,
-			plan.stop, plan.stopToken, onToken)
-	} else {
-		// Non-streaming LM (the n-gram zoo): the name line already went out;
-		// the body follows in one piece. Sub-second n-gram decodes gain
-		// nothing from per-token emission.
-		out = m.LM.Complete(plan.prefix, plan.prompt, plan.maxNew, plan.stop, plan.stopToken)
+	// Start the decode before emitting anything: a scheduler rejection must
+	// leave the stream untouched. A scheduled decode may produce tokens
+	// before this goroutine has emitted the name line, so the token hook
+	// parks on begun until begin has run; that stalls only this sequence's
+	// relay goroutine, never the engine loop. wait returns only after the
+	// hook has seen every token, so the assembler is safe to read afterwards.
+	begun := make(chan struct{})
+	wait, err := dec(plan, cancel, func(tok int) { <-begun; asm.onToken(m, tok) })
+	if err != nil {
+		return "", err
 	}
-	final := m.finishPredict(s, nameLine, indent, m.finishSample(out))
+	asm.begin(nameLine)
+	close(begun)
+	final := m.finishPredict(s, nameLine, indent, m.finishSample(wait()))
 	asm.finalize(final)
-	return final
+	return final, nil
 }
 
 // streamAssembler incrementally re-runs the line-level post-processing of

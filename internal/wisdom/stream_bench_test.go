@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// The streaming benchmarks back BENCH_PR6.json: they measure what a
+// The streaming benchmarks measure what a
 // streaming client experiences — time to the first delta (reported as
 // ttft-ns/op) — against the total generation latency (ns/op), on the same
 // model the unary benchmark runs. The point of streaming is the gap

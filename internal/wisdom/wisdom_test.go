@@ -315,3 +315,34 @@ func TestFinetuneWithValidation(t *testing.T) {
 		t.Error("selected model scores zero on test")
 	}
 }
+
+// TestPredictSampleIndent pins the name-line indent decision: only a line
+// whose key is exactly tasks, pre_tasks or post_tasks nests the new task
+// under a play. A role task file that merely includes other task files
+// stays at column 0 (the substring "tasks:" used to flip it to 4).
+func TestPredictSampleIndent(t *testing.T) {
+	cases := []struct {
+		name    string
+		context string
+		indent  int
+		typ     dataset.GenType
+	}{
+		{"empty context", "", 0, dataset.NLtoT},
+		{"include_tasks at column 0", "- include_tasks: setup.yml\n", 0, dataset.TNLtoT},
+		{"import_tasks at column 2", "- name: Pull in the common tasks\n  import_tasks: common.yml\n", 0, dataset.TNLtoT},
+		{"play with tasks", "- hosts: all\n  tasks:\n    - name: Ping\n      ansible.builtin.ping:\n", 4, dataset.TNLtoT},
+		{"play with pre_tasks", "- hosts: web\n  pre_tasks:\n    - name: Ping\n      ansible.builtin.ping:\n", 4, dataset.TNLtoT},
+		{"tasks as the play's first key", "- tasks:\n    - name: Ping\n      ansible.builtin.ping:\n", 4, dataset.TNLtoT},
+		{"tasks only inside a value", "- name: Run the tasks: all of them\n  ansible.builtin.ping:\n", 0, dataset.TNLtoT},
+	}
+	var m Model
+	for _, c := range cases {
+		s, nameLine, indent := m.predictSample(c.context, "Install nginx")
+		if indent != c.indent || s.Type != c.typ {
+			t.Errorf("%s: indent %d type %v, want %d %v", c.name, indent, s.Type, c.indent, c.typ)
+		}
+		if want := strings.Repeat(" ", c.indent) + "- name: Install nginx"; nameLine != want || s.NameLine != want {
+			t.Errorf("%s: name line %q, want %q", c.name, nameLine, want)
+		}
+	}
+}

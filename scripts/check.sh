@@ -61,6 +61,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzAdminRequest$' -fuzztime="$FUZZTIME" ./internal/serve
     go test -run='^$' -fuzz='^FuzzEncode$' -fuzztime="$FUZZTIME" ./internal/tokenizer
     go test -run='^$' -fuzz='^FuzzRingLookup$' -fuzztime="$FUZZTIME" ./internal/router
+    go test -run='^$' -fuzz='^FuzzDecodePathsAgree$' -fuzztime="$FUZZTIME" ./internal/neural
 fi
 
 echo "OK"
