@@ -23,18 +23,11 @@ vet:
 check:
 	./scripts/check.sh
 
-# fuzz runs each fuzz target for FUZZTIME (default 30s here; CI uses 10s
-# via check.sh).
+# fuzz runs every fuzz target scripts/fuzz.sh discovers for FUZZTIME each
+# (default 30s here; CI uses 10s via check.sh).
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParseYAML$$' -fuzztime=$(FUZZTIME) ./internal/yaml
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzEncodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStreamFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzAdminRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzEncode$$' -fuzztime=$(FUZZTIME) ./internal/tokenizer
-	$(GO) test -run='^$$' -fuzz='^FuzzRingLookup$$' -fuzztime=$(FUZZTIME) ./internal/router
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodePathsAgree$$' -fuzztime=$(FUZZTIME) ./internal/neural
+	FUZZTIME=$(FUZZTIME) ./scripts/fuzz.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

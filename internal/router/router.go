@@ -269,24 +269,37 @@ func (r *Router) candidates(key string) []string {
 
 // Predict satisfies serve.Predictor. The wrapping serve.Server always
 // prefers PredictRoute; this path exists only for direct library use.
-func (r *Router) Predict(context, prompt string) string {
-	resp, err := r.PredictRoute(contextBG(), serve.Request{Context: context, Prompt: prompt})
+func (r *Router) Predict(yamlCtx, prompt string) string {
+	resp, err := r.PredictRoute(context.Background(), serve.Request{Context: yamlCtx, Prompt: prompt})
 	if err != nil {
 		return ""
 	}
 	return resp.Suggestion
 }
 
-// contextBG avoids shadowing the context package by the Predict parameter
-// name (the serve.Predictor signature fixes it).
-func contextBG() context.Context { return context.Background() }
-
 // PredictRoute forwards one unary request to its ring owner, spilling to
 // successors when the owner is breaker-open, unreachable, or sheds.
 // Unary retries across backends are safe — predictions are idempotent and
 // nothing has been delivered to the client until the router returns.
 func (r *Router) PredictRoute(ctx context.Context, req serve.Request) (serve.Response, error) {
-	req.Op = ""     // forwarded as a plain unary predict regardless of inbound op
+	return r.route(ctx, req, nil)
+}
+
+// PredictStreamRoute forwards one streamed request through the ring.
+// Spillover happens only before the first delta: once a backend has started
+// streaming, the client has rendered output, so replaying on a successor
+// would duplicate it — a mid-stream failure is terminal instead.
+func (r *Router) PredictStreamRoute(ctx context.Context, req serve.Request, emit func(delta string)) (serve.Response, error) {
+	return r.route(ctx, req, emit)
+}
+
+// route is the one ring walk: unary when emit is nil, streamed otherwise.
+// Each candidate in ring order from the owner is skipped while its breaker
+// is open, else forwarded to with the session stamp its ownership calls
+// for; the first answer settles the session and is counted as a spillover
+// when it did not come from the owner.
+func (r *Router) route(ctx context.Context, req serve.Request, emit func(delta string)) (serve.Response, error) {
+	req.Op = ""     // the forwarding call picks the op, whatever came in
 	req.Admin = nil // admin requests are handled by the router, never forwarded
 	key := affinityKey(req)
 	var lastErr error
@@ -303,9 +316,7 @@ func (r *Router) PredictRoute(ctx context.Context, req serve.Request) (serve.Res
 			continue
 		}
 		fwd := r.stampSession(req, addr)
-		b.beginForward()
-		resp, err := r.forwardUnary(b, fwd)
-		b.endForward()
+		resp, started, err := r.forward(ctx, b, fwd, emit)
 		if err == nil {
 			r.settleSession(req, fwd, addr)
 			if i > 0 {
@@ -315,6 +326,10 @@ func (r *Router) PredictRoute(ctx context.Context, req serve.Request) (serve.Res
 			return resp, nil
 		}
 		lastErr = fmt.Errorf("router: backend %s: %w", addr, err)
+		if started {
+			// Deltas already reached the client; never replay.
+			return serve.Response{}, lastErr
+		}
 	}
 	if lastErr == nil {
 		lastErr = ErrNoBackend
@@ -347,142 +362,79 @@ func (r *Router) settleSession(orig, fwd serve.Request, addr string) {
 	r.sessions.note(orig.SessionID, addr, r.ring.Epoch())
 }
 
-// forwardUnary performs one breaker-accounted round trip against b. Breaker
-// protocol: the caller has already taken Allow()==true, so exactly one
-// Record happens on every path. A transport failure (broken connection,
-// dial error) records a breaker failure; a server-delivered error on a
-// healthy connection — overload shed, unknown op — records a success,
-// because the replica is up and answering even while refusing work.
-func (r *Router) forwardUnary(b *backend, req serve.Request) (serve.Response, error) {
-	c, err := b.get()
-	if err != nil {
-		b.errors.Add(1)
-		b.breaker.Record(err)
-		return serve.Response{}, err
-	}
-	start := time.Now()
-	resp, err := c.Predict(req)
-	if err != nil {
-		b.errors.Add(1)
-		if c.Broken() {
-			b.discard(c)
-			b.breaker.Record(err)
-		} else {
-			b.put(c)
-			b.breaker.Record(nil)
-		}
-		return serve.Response{}, err
-	}
-	b.put(c)
-	b.requests.Add(1)
-	if h := b.latency; h != nil {
-		h.Observe(time.Since(start).Seconds())
-	}
-	b.breaker.Record(nil)
-	return resp, nil
-}
-
-// PredictStreamRoute forwards one streamed request through the ring.
-// Spillover happens only before the first delta: once a backend has started
-// streaming, the client has rendered output, so replaying on a successor
-// would duplicate it — a mid-stream failure is terminal instead.
-func (r *Router) PredictStreamRoute(ctx context.Context, req serve.Request, emit func(delta string)) (serve.Response, error) {
-	req.Admin = nil // admin requests are handled by the router, never forwarded
-	key := affinityKey(req)
-	var lastErr error
-	for i, addr := range r.candidates(key) {
-		if err := ctx.Err(); err != nil {
-			return serve.Response{}, err
-		}
-		b := r.backendFor(addr)
-		if b == nil {
-			continue // removed after the candidate list was snapshotted
-		}
-		if !b.breaker.Allow() {
-			lastErr = fmt.Errorf("router: backend %s: %w", addr, resilience.ErrBreakerOpen)
-			continue
-		}
-		fwd := r.stampSession(req, addr)
-		b.beginForward()
-		resp, started, err := r.forwardStream(ctx, b, fwd, emit)
-		b.endForward()
-		if err == nil {
-			r.settleSession(req, fwd, addr)
-			if i > 0 {
-				r.spillovers.Add(1)
-				b.spillovers.Add(1)
-			}
-			return resp, nil
-		}
-		if started {
-			// Deltas already reached the client; never replay.
-			return serve.Response{}, fmt.Errorf("router: backend %s: %w", addr, err)
-		}
-		lastErr = fmt.Errorf("router: backend %s: %w", addr, err)
-	}
-	if lastErr == nil {
-		lastErr = ErrNoBackend
-	}
-	return serve.Response{}, lastErr
-}
-
-// forwardStream runs one streamed exchange against b, reporting whether any
-// delta was emitted. Cancellation propagates by closing the backend
-// connection — the backend's RPC watchdog sees the disconnect and cancels
-// its decode, preserving disconnect-cancels-decode through the router tier.
-func (r *Router) forwardStream(ctx context.Context, b *backend, req serve.Request, emit func(delta string)) (resp serve.Response, started bool, err error) {
+// forward performs one breaker-accounted exchange against b, reporting
+// whether any delta was emitted. Breaker protocol: the caller has already
+// taken Allow()==true, so exactly one Record happens on every path. A
+// transport failure (broken connection, dial error) records a breaker
+// failure; a server-delivered error on a healthy connection — overload
+// shed, unknown op — records a success, because the replica is up and
+// answering even while refusing work, and so does a stream our own client
+// abandoned.
+func (r *Router) forward(ctx context.Context, b *backend, req serve.Request, emit func(delta string)) (resp serve.Response, started bool, err error) {
+	b.beginForward()
+	defer b.endForward()
 	c, err := b.get()
 	if err != nil {
 		b.errors.Add(1)
 		b.breaker.Record(err)
 		return serve.Response{}, false, err
 	}
+	start := time.Now()
+	clientGone := false
+	if emit == nil {
+		resp, err = c.Predict(req)
+	} else {
+		resp, started, clientGone, err = streamExchange(ctx, c, req, emit)
+	}
+	if err == nil {
+		b.put(c)
+		b.requests.Add(1)
+		if h := b.latency; h != nil {
+			h.Observe(time.Since(start).Seconds())
+		}
+		b.breaker.Record(nil)
+		return resp, started, nil
+	}
+	b.errors.Add(1)
+	switch {
+	case clientGone:
+		// The client went away; the failure is ours, not the backend's.
+		b.discard(c)
+		b.breaker.Record(nil)
+		err = ctx.Err()
+	case c.Broken():
+		b.discard(c)
+		b.breaker.Record(err)
+	default:
+		b.put(c)
+		b.breaker.Record(nil)
+	}
+	return serve.Response{}, started, err
+}
 
+// streamExchange runs one streamed exchange on c. Cancellation propagates by
+// closing the backend connection — the backend's RPC watchdog sees the
+// disconnect and cancels its decode, preserving disconnect-cancels-decode
+// through the router tier; clientGone reports that this happened.
+func streamExchange(ctx context.Context, c *serve.Client, req serve.Request, emit func(delta string)) (resp serve.Response, started, clientGone bool, err error) {
 	watchDone := make(chan struct{})
 	watchExited := make(chan struct{})
-	var cancelled atomic.Bool
 	go func() {
 		defer close(watchExited)
 		select {
 		case <-ctx.Done():
-			cancelled.Store(true)
+			clientGone = true
 			c.Close()
 		case <-watchDone:
 		}
 	}()
-
-	start := time.Now()
 	resp, err = c.PredictStream(req, func(d string) {
 		started = true
 		emit(d)
 	})
 	close(watchDone)
-	<-watchExited
-
-	if err != nil {
-		b.errors.Add(1)
-		if cancelled.Load() {
-			// The client went away; the failure is ours, not the backend's.
-			b.discard(c)
-			b.breaker.Record(nil)
-			return serve.Response{}, started, ctx.Err()
-		}
-		if c.Broken() {
-			b.discard(c)
-			b.breaker.Record(err)
-		} else {
-			b.put(c)
-			b.breaker.Record(nil)
-		}
-		return serve.Response{}, started, err
-	}
-	b.put(c)
-	b.requests.Add(1)
-	if h := b.latency; h != nil {
-		h.Observe(time.Since(start).Seconds())
-	}
-	b.breaker.Record(nil)
-	return resp, started, nil
+	<-watchExited // also orders the watcher's clientGone write before our read
+	return resp, started, clientGone, err
 }
 
 // heartbeatLoop sweeps the fleet every HeartbeatInterval until Close.

@@ -465,43 +465,37 @@ func TestMaxBodyRejected(t *testing.T) {
 	}
 }
 
-// TestCoalescingReducesModelWork compares the seed serving path (no
-// singleflight) with the coalesced path under identical duplicate-heavy
-// concurrent load: the coalesced server must invoke the model strictly
-// fewer times for the same number of answered requests.
+// TestCoalescingReducesModelWork puts duplicate-heavy concurrent load on a
+// cacheless server — every request is a miss — and counts model calls
+// directly: singleflight must answer all n requests with strictly fewer
+// than n invocations (one per request is what the seed path, a miss going
+// straight to the model, would run).
 func TestCoalescingReducesModelWork(t *testing.T) {
-	run := func(coalesce bool) (calls int) {
-		model := newTrackModel(time.Millisecond)
-		srv := NewServerWithOptions(model, "m", Options{
-			Workers: 4, QueueDepth: 4096, QueueTimeout: -1, // no cache: every request is a miss
-		})
-		if !coalesce {
-			srv.flight = nil // the seed path: miss -> straight to the model
-		}
-		const n, keys = 96, 3
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				req := Request{Prompt: fmt.Sprintf("dup %d", i%keys)}
-				if _, err := srv.predict(context.Background(), req, "http"); err != nil {
-					t.Error(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		model.mu.Lock()
-		defer model.mu.Unlock()
-		for _, c := range model.calls {
-			calls += c
-		}
-		return calls
+	model := newTrackModel(time.Millisecond)
+	srv := NewServerWithOptions(model, "m", Options{
+		Workers: 4, QueueDepth: 4096, QueueTimeout: -1,
+	})
+	const n, keys = 96, 3
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := Request{Prompt: fmt.Sprintf("dup %d", i%keys)}
+			if _, err := srv.predict(context.Background(), req, "http"); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	direct := run(false)
-	coalesced := run(true)
-	if coalesced >= direct {
-		t.Errorf("coalesced path ran %d model calls, direct ran %d — expected strictly fewer", coalesced, direct)
+	wg.Wait()
+	model.mu.Lock()
+	defer model.mu.Unlock()
+	var calls int
+	for _, c := range model.calls {
+		calls += c
+	}
+	if calls >= n {
+		t.Errorf("%d requests ran %d model calls — expected strictly fewer", n, calls)
 	}
 }
 
@@ -636,20 +630,18 @@ func TestFlightGroupWaiterContext(t *testing.T) {
 	close(release)
 }
 
-// BenchmarkDuplicateHeavyLoad measures throughput of duplicate-heavy
-// concurrent load with and without request coalescing (the seed path). The
-// model simulates a 1ms generation; caching is off so every request is a
-// miss, which is the worst case the singleflight layer exists for.
+// BenchmarkDuplicateHeavyLoad measures throughput of concurrent load on four
+// hot keys, which singleflight coalesces, against the same load on distinct
+// keys, which runs one model call per request. The model simulates a 1ms
+// generation; caching is off so every request is a miss, which is the worst
+// case the singleflight layer exists for.
 func BenchmarkDuplicateHeavyLoad(b *testing.B) {
-	for _, mode := range []string{"direct", "coalesced"} {
+	for _, mode := range []string{"distinct", "duplicate"} {
 		b.Run(mode, func(b *testing.B) {
 			model := newTrackModel(time.Millisecond)
 			srv := NewServerWithOptions(model, "m", Options{
 				Workers: 4, QueueDepth: 1 << 20, QueueTimeout: -1,
 			})
-			if mode == "direct" {
-				srv.flight = nil
-			}
 			var n atomic.Int64
 			// GOMAXPROCS goroutines would serialise on one core; the load
 			// this layer exists for is many in-flight duplicates, so force a
@@ -658,7 +650,10 @@ func BenchmarkDuplicateHeavyLoad(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := int(n.Add(1))
-					req := Request{Prompt: fmt.Sprintf("dup %d", i%4)}
+					if mode == "duplicate" {
+						i %= 4
+					}
+					req := Request{Prompt: fmt.Sprintf("dup %d", i)}
 					if _, err := srv.predict(context.Background(), req, "http"); err != nil {
 						b.Error(err)
 						return

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -86,6 +88,104 @@ func TestServerDegradedFlagAndCacheBypass(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "wisdom_degraded_responses_total 2") {
 		t.Errorf("metrics missing degraded count:\n%s", buf.String())
+	}
+}
+
+// streamDegradingModel adds the streaming faces of a degradation chain to
+// degradingModel: the answering tier's text goes out as one delta.
+type streamDegradingModel struct{ *degradingModel }
+
+func (m streamDegradingModel) PredictStream(ctx context.Context, yamlCtx, prompt string, emit func(string)) string {
+	out, _ := m.PredictStreamDegraded(ctx, yamlCtx, prompt, emit)
+	return out
+}
+
+func (m streamDegradingModel) PredictStreamDegraded(_ context.Context, yamlCtx, prompt string, emit func(string)) (string, bool) {
+	out, degraded := m.PredictDegraded(yamlCtx, prompt)
+	emit(out)
+	return out, degraded
+}
+
+// TestServerStreamDegradedFlagAndCacheBypass is the streaming twin of
+// TestServerDegradedFlagAndCacheBypass, over both protocols: a stream
+// answered by a fallback tier carries "degraded":true on its terminal
+// frame, counts on wisdom_degraded_responses_total, and stays out of the
+// cache.
+func TestServerStreamDegradedFlagAndCacheBypass(t *testing.T) {
+	for _, proto := range []string{"sse", "rpc"} {
+		t.Run(proto, func(t *testing.T) {
+			model := streamDegradingModel{newDegradingModel()}
+			srv := NewServerWithOptions(model, "m", Options{CacheSize: 16})
+			reg := observe.NewRegistry()
+			srv.Instrument(reg)
+
+			var stream func() Response
+			if proto == "sse" {
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				stream = func() Response {
+					resp := postStream(t, ts, Request{Prompt: "install nginx"})
+					defer resp.Body.Close()
+					evs := readSSE(t, resp.Body)
+					var final Response
+					if last := evs[len(evs)-1]; last.event != StreamDone {
+						t.Fatalf("terminal event = %+v, want done", last)
+					} else if err := json.Unmarshal([]byte(last.data), &final); err != nil {
+						t.Fatal(err)
+					}
+					return final
+				}
+			} else {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				go srv.ServeRPC(ln)
+				c, err := Dial(ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				stream = func() Response {
+					final, err := c.PredictStream(Request{Prompt: "install nginx"}, func(string) {})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return final
+				}
+			}
+
+			// Degraded phase: flag set, nothing cached, model called every time.
+			model.degraded.Store(true)
+			if first := stream(); !first.Degraded || first.Suggestion != "fallback: install nginx" {
+				t.Fatalf("degraded stream = %+v", first)
+			}
+			if second := stream(); second.Cached || !second.Degraded {
+				t.Fatalf("second degraded stream = %+v, want degraded and uncached", second)
+			}
+			if model.calls.Load() != 2 {
+				t.Fatalf("model calls = %d, want 2 (no caching while degraded)", model.calls.Load())
+			}
+
+			// Recovery: the next stream reaches the healthy primary and its
+			// answer does get cached.
+			model.degraded.Store(false)
+			if third := stream(); third.Degraded || third.Cached || third.Suggestion != "primary: install nginx" {
+				t.Fatalf("post-recovery stream = %+v", third)
+			}
+			if fourth := stream(); !fourth.Cached || fourth.Degraded {
+				t.Fatalf("post-recovery cached stream = %+v", fourth)
+			}
+
+			var buf strings.Builder
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "wisdom_degraded_responses_total 2") {
+				t.Errorf("metrics missing degraded count:\n%s", buf.String())
+			}
+		})
 	}
 }
 

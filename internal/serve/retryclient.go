@@ -122,27 +122,65 @@ func (rc *RetryClient) Breaker() *resilience.Breaker { return rc.opts.Breaker }
 
 // Predict performs one prediction, retrying per the options.
 func (rc *RetryClient) Predict(req Request) (Response, error) {
-	return rc.PredictContext(context.Background(), req)
+	return rc.predict(context.Background(), req, nil)
 }
 
 // PredictContext is Predict bounded by ctx: no attempt starts after ctx
 // ends, and backoff sleeps are cut short by it.
 func (rc *RetryClient) PredictContext(ctx context.Context, req Request) (Response, error) {
+	return rc.predict(ctx, req, nil)
+}
+
+// PredictStream performs one streamed prediction, retrying per the options
+// — but only while nothing has been emitted: once a delta has reached emit,
+// a failure is terminal (replaying the stream would duplicate output the
+// caller has already rendered). Shed streams arrive as clean error frames
+// before any delta, so the overload case retries exactly like unary
+// requests.
+func (rc *RetryClient) PredictStream(req Request, emit func(delta string)) (Response, error) {
+	return rc.predict(context.Background(), req, emit)
+}
+
+// PredictStreamContext is PredictStream bounded by ctx.
+func (rc *RetryClient) PredictStreamContext(ctx context.Context, req Request, emit func(delta string)) (Response, error) {
+	return rc.predict(ctx, req, emit)
+}
+
+// predict runs one prediction — unary when emit is nil, streamed otherwise
+// — through the retrier. Each attempt is gated by the breaker and feeds it
+// its outcome, runs over the current (or a fresh) connection, and discards
+// the connection on transport failure (I/O error, deadline, corrupt frame)
+// so the next attempt dials a new one.
+func (rc *RetryClient) predict(ctx context.Context, req Request, emit func(delta string)) (Response, error) {
 	var resp Response
+	started := false
 	err := rc.retrier.Do(ctx, func(context.Context) error {
 		b := rc.opts.Breaker
 		if b != nil && !b.Allow() {
 			return resilience.ErrBreakerOpen
 		}
-		r, err := rc.attempt(req)
+		c, err := rc.conn()
+		if err == nil {
+			if emit == nil {
+				resp, err = c.Predict(req)
+			} else {
+				resp, err = c.PredictStream(req, func(d string) {
+					started = true
+					emit(d)
+				})
+			}
+			if err != nil && c.Broken() {
+				rc.drop(c)
+				err = &transportError{err}
+			}
+		}
 		if b != nil {
 			b.Record(err)
 		}
-		if err != nil {
-			return err
+		if err != nil && started {
+			return interruptedStreamError(err)
 		}
-		resp = r
-		return nil
+		return err
 	})
 	return resp, err
 }
@@ -163,23 +201,6 @@ func (rc *RetryClient) Health() (OpResponse, error) {
 		resp = r
 		return nil
 	})
-	return resp, err
-}
-
-// attempt runs one prediction attempt over the current (or a fresh)
-// connection, discarding the connection on transport failure.
-func (rc *RetryClient) attempt(req Request) (Response, error) {
-	c, err := rc.conn()
-	if err != nil {
-		return Response{}, err
-	}
-	resp, err := c.Predict(req)
-	if err != nil && c.Broken() {
-		// Transport failure (I/O error, deadline, corrupt frame): this
-		// connection is condemned; the next attempt dials a fresh one.
-		rc.drop(c)
-		return Response{}, &transportError{err}
-	}
 	return resp, err
 }
 

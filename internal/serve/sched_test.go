@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -19,11 +18,9 @@ func (schedOverloadErr) Error() string    { return "decode engine admission queu
 func (schedOverloadErr) Overloaded() bool { return true }
 
 // schedEchoModel implements the scheduled predictor surface and records
-// which path each request took. failWith, when set, makes the scheduled
-// paths fail before emitting anything — the engine's rejection contract.
+// which path each request took.
 type schedEchoModel struct {
-	enabled  bool
-	failWith error
+	enabled bool
 
 	mu               sync.Mutex
 	plainCalls       int
@@ -57,9 +54,6 @@ func (m *schedEchoModel) PredictSched(_ context.Context, _, prompt string) (stri
 	m.mu.Lock()
 	m.schedCalls++
 	m.mu.Unlock()
-	if m.failWith != nil {
-		return "", m.failWith
-	}
 	return m.answer(prompt), nil
 }
 
@@ -67,9 +61,6 @@ func (m *schedEchoModel) PredictStreamSched(_ context.Context, _, prompt string,
 	m.mu.Lock()
 	m.schedStreamCalls++
 	m.mu.Unlock()
-	if m.failWith != nil {
-		return "", m.failWith
-	}
 	v := m.answer(prompt)
 	emit(v)
 	return v, nil
@@ -99,9 +90,6 @@ func (m *schedEchoModel) calls() (plain, stream, sched, schedStream int) {
 func TestSchedRoutedThroughEngine(t *testing.T) {
 	model := &schedEchoModel{enabled: true}
 	s := NewServerWithOptions(model, "sched-test", Options{Workers: 2, CacheSize: 8})
-	if s.sched == nil || s.schedStream == nil {
-		t.Fatal("scheduler routing not enabled")
-	}
 
 	resp, err := s.predict(context.Background(), Request{Prompt: "p"}, "http")
 	if err != nil {
@@ -126,98 +114,6 @@ func TestSchedRoutedThroughEngine(t *testing.T) {
 	}
 	if _, _, sched, _ = model.calls(); sched != 1 {
 		t.Errorf("cached repeat reached the engine: sched=%d", sched)
-	}
-}
-
-// TestSchedDisabledKeepsPipeline checks a model reporting the scheduler
-// disabled keeps the ordinary pipeline.
-func TestSchedDisabledKeepsPipeline(t *testing.T) {
-	model := &schedEchoModel{enabled: false}
-	s := NewServerWithOptions(model, "sched-off", Options{Workers: 1})
-	if s.sched != nil {
-		t.Fatal("scheduler routing enabled despite disabled stats")
-	}
-	if _, err := s.predict(context.Background(), Request{Prompt: "p"}, "http"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, sched, _ := model.calls(); sched != 0 {
-		t.Errorf("PredictSched called on disabled model: %d", sched)
-	}
-}
-
-// TestSchedOverloadShedsAndReleasesSlot is the pool-slot accounting
-// regression: a request the engine rejects (queue full) must surface as an
-// overload shed AND release its worker-pool slot — a leak here would bleed
-// the pool dry under sustained overload.
-func TestSchedOverloadShedsAndReleasesSlot(t *testing.T) {
-	model := &schedEchoModel{enabled: true, failWith: schedOverloadErr{}}
-	s := NewServerWithOptions(model, "sched-shed", Options{Workers: 1, CacheSize: 8})
-	if s.sched == nil {
-		t.Fatal("scheduler routing not enabled")
-	}
-
-	for i := 0; i < 5; i++ {
-		_, err := s.predict(context.Background(), Request{Prompt: "p"}, "http")
-		if err == nil {
-			t.Fatal("rejected request returned no error")
-		}
-		var ov interface{ Overloaded() bool }
-		if !errors.As(err, &ov) || !ov.Overloaded() {
-			t.Fatalf("error %v does not classify as Overloaded", err)
-		}
-		if got := shedReason(err); got != "overloaded" {
-			t.Fatalf("shedReason = %q, want overloaded", got)
-		}
-	}
-	if got := s.pool.Active(); got != 0 {
-		t.Fatalf("pool.Active = %d after sheds, want 0 (slot leak)", got)
-	}
-
-	// Normal completions release their slot too.
-	model.failWith = nil
-	if _, err := s.predict(context.Background(), Request{Prompt: "q"}, "http"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.pool.Active(); got != 0 {
-		t.Fatalf("pool.Active = %d after completion, want 0", got)
-	}
-}
-
-// TestSchedStreamRouting checks streamed requests decode through
-// PredictStreamSched with deltas flowing, and that an engine rejection
-// surfaces as a clean pre-byte shed.
-func TestSchedStreamRouting(t *testing.T) {
-	model := &schedEchoModel{enabled: true}
-	s := NewServerWithOptions(model, "m", Options{Workers: 1})
-	if s.schedStream == nil {
-		t.Fatal("scheduler stream routing not enabled")
-	}
-	var got string
-	resp, err := s.predictStream(context.Background(), Request{Prompt: "p"}, "http",
-		func(d string) error { got += d; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != model.answer("p") || resp.Suggestion != got {
-		t.Errorf("streamed %q, final %q", got, resp.Suggestion)
-	}
-	if _, stream, _, schedStream := model.calls(); schedStream != 1 || stream != 0 {
-		t.Errorf("stream calls stateless=%d sched=%d, want only sched=1", stream, schedStream)
-	}
-
-	// A rejection must emit nothing and release the pool slot.
-	model.failWith = schedOverloadErr{}
-	got = ""
-	_, err = s.predictStream(context.Background(), Request{Prompt: "p2"}, "http",
-		func(d string) error { got += d; return nil })
-	if err == nil {
-		t.Fatal("rejected stream returned no error")
-	}
-	if got != "" {
-		t.Errorf("rejected stream emitted %q, want nothing", got)
-	}
-	if active := s.pool.Active(); active != 0 {
-		t.Errorf("pool.Active = %d after shed stream, want 0", active)
 	}
 }
 

@@ -7,18 +7,28 @@
 //
 // # Concurrency model
 //
-// Every prediction flows through two layers before reaching the model:
+// A unary request is a streamed request without a sink, so both protocols
+// and both shapes run one pipeline (predictStream) with explicit stages:
 //
-//  1. A singleflight group in front of the LRU cache coalesces concurrent
-//     identical requests (same context+prompt) into one model invocation
-//     whose result fans out to all waiters. Without it, N simultaneous
-//     misses on one key would each run a full generation with the last
-//     writer winning the cache slot.
-//  2. A bounded worker pool admits at most Options.Workers concurrent
-//     Predict calls, with a bounded wait queue and a per-request admission
-//     deadline. Requests beyond pool+queue capacity are shed with HTTP 503
-//     (Retry-After) or an RPC error response instead of piling up
-//     goroutines without bound.
+//  1. The LRU response cache. A hit is served at once — to a stream as a
+//     single delta.
+//  2. A singleflight group coalesces concurrent identical requests (same
+//     context+prompt) into one model invocation whose result fans out to all
+//     waiters. Without it, N simultaneous misses on one key would each run a
+//     full generation with the last writer winning the cache slot. Requests
+//     that own their output skip it: live streams (their deltas belong to
+//     one client) and session requests (their decode state is exclusive).
+//  3. Admission (admit): a bounded worker pool admits at most
+//     Options.Workers concurrent predictions, with a bounded wait queue and
+//     a per-request admission deadline; inside the slot the request reaches
+//     the backend and a first-class answer is put in the cache. Requests
+//     beyond pool+queue capacity are shed with HTTP 503 (Retry-After) or an
+//     RPC error response instead of piling up goroutines without bound.
+//  4. The backend: one function built once, at construction, from the
+//     interfaces the model implements — routing, else session (for requests
+//     naming one), else scheduler, else degradation chain, else the plain
+//     model — each calling the unary or the streaming method of its
+//     interface according to whether the request has a sink.
 //
 // The model itself must be safe for concurrent Predict calls; *wisdom.Model
 // and every Generator in this repository are (inference reads frozen counts
@@ -43,12 +53,14 @@
 // /v1/completions/stream answers with Server-Sent Events (delta events as
 // text is produced, a terminal done event carrying the full Response), and
 // the RPC op "stream" answers one request frame with a sequence of
-// StreamFrame frames. Streams bypass the singleflight group — their deltas
-// belong to one client — but share the cache and the worker pool, and
-// admission happens before the first byte is written so overload sheds a
-// stream as a clean 503/error frame, never a torn half-stream. A client
-// that disconnects mid-stream cancels the decode loop within one token,
-// freeing its worker slot. See predictStream and docs/PROTOCOL.md.
+// StreamFrame frames. A stream differs from a unary request in two rules
+// only: it skips the singleflight group, and the admission deadline bounds
+// its wait for a worker slot, not the stream itself (a unary request is
+// bounded end to end). Admission happens before the first byte is written,
+// so overload sheds a stream as a clean 503/error frame, never a torn
+// half-stream. A client that disconnects mid-stream cancels the decode loop
+// within one token, freeing its worker slot. See predictStream and
+// docs/PROTOCOL.md.
 //
 // # Wire protocol
 //
@@ -338,24 +350,24 @@ func (o Options) withDefaults() Options {
 
 // Server serves predictions over HTTP and the binary RPC protocol.
 type Server struct {
-	model         Predictor
-	degrade       DegradingPredictor          // non-nil when model can degrade
-	stream        StreamingPredictor          // non-nil when model can stream
-	streamDegrade StreamingDegradingPredictor // non-nil when model streams and degrades
-	session       SessionPredictor            // non-nil when model has sessions enabled
-	sessionStream SessionStreamingPredictor   // non-nil when session model also streams
-	sched         SchedPredictor              // non-nil when model has the scheduler enabled
-	schedStream   SchedStreamingPredictor     // non-nil when scheduled model also streams
-	route         RoutingPredictor            // non-nil when model forwards to a backend tier
-	routeStream   RoutingStreamingPredictor   // non-nil when routing model also streams
-	statsAgg      StatsAggregator             // non-nil when model widens /v1/stats
-	admin         AdminHandler                // non-nil when model exposes fleet membership
-	sessionReset  SessionResetter             // non-nil when model can cold-start a session
-	adminToken    string                      // "" disables the admin surface
-	modelName     string
-	cache         *Cache
-	requests      atomic.Int64 // predictions served, both protocols
-	connHook      func(net.Conn) net.Conn
+	// backend answers one admitted request; streams reports whether it can
+	// deliver deltas while decoding (otherwise a stream request is answered
+	// as a unary one and delivered as a single delta), and sessions whether
+	// requests naming a session own exclusive state behind it and so bypass
+	// the singleflight group. All three are fixed by bindBackend.
+	backend  backend
+	streams  bool
+	sessions bool
+	session  SessionPredictor // stats source; non-nil when model has sessions enabled
+	sched    SchedPredictor   // stats source; non-nil when model has the scheduler enabled
+
+	statsAgg   StatsAggregator // non-nil when model widens /v1/stats
+	admin      AdminHandler    // non-nil when model exposes fleet membership
+	adminToken string          // "" disables the admin surface
+	modelName  string
+	cache      *Cache
+	requests   atomic.Int64 // predictions served, both protocols
+	connHook   func(net.Conn) net.Conn
 
 	// Streaming accounting (live regardless of instrumentation, so tests
 	// and /v1/stats can observe stream lifecycles directly).
@@ -393,7 +405,6 @@ func NewServer(model Predictor, modelName string, cacheSize int) *Server {
 func NewServerWithOptions(model Predictor, modelName string, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		model:      model,
 		modelName:  modelName,
 		connHook:   opts.ConnHook,
 		flight:     NewFlight(),
@@ -403,50 +414,7 @@ func NewServerWithOptions(model Predictor, modelName string, opts Options) *Serv
 		lns:        make(map[net.Listener]struct{}),
 		conns:      make(map[net.Conn]struct{}),
 	}
-	if dp, ok := model.(DegradingPredictor); ok {
-		s.degrade = dp
-	}
-	if sp, ok := model.(StreamingPredictor); ok {
-		s.stream = sp
-	}
-	if sdp, ok := model.(StreamingDegradingPredictor); ok {
-		s.streamDegrade = sdp
-	}
-	// Session routing only engages when the model actually holds session
-	// state: a model that merely implements the interface with sessions
-	// switched off keeps the ordinary stateless pipeline.
-	if sp, ok := model.(SessionPredictor); ok {
-		if enabled, _, _, _ := sp.SessionStats(); enabled {
-			s.session = sp
-			if ssp, ok := model.(SessionStreamingPredictor); ok {
-				s.sessionStream = ssp
-			}
-			if sr, ok := model.(SessionResetter); ok {
-				s.sessionReset = sr
-			}
-		}
-	}
-	// Scheduler routing engages only when the model actually runs a
-	// continuous-batching engine; a model that merely implements the
-	// interface with the scheduler switched off keeps the ordinary pipeline.
-	if sp, ok := model.(SchedPredictor); ok {
-		if enabled, _, _, _, _, _, _, _ := sp.SchedStats(); enabled {
-			s.sched = sp
-			if ssp, ok := model.(SchedStreamingPredictor); ok {
-				s.schedStream = ssp
-			}
-		}
-	}
-	// Routing engages when the model forwards to a backend tier instead of
-	// decoding locally (the router frontend): every prediction then flows
-	// cache -> singleflight -> pool -> PredictRoute, and /v1/stats widens to
-	// the aggregated fleet view when the model can provide one.
-	if rp, ok := model.(RoutingPredictor); ok {
-		s.route = rp
-		if rsp, ok := model.(RoutingStreamingPredictor); ok {
-			s.routeStream = rsp
-		}
-	}
+	s.bindBackend(model)
 	if sa, ok := model.(StatsAggregator); ok {
 		s.statsAgg = sa
 	}
@@ -483,59 +451,46 @@ func (s *Server) CancelledStreams() uint64 { return s.cancelledStreams.Load() }
 // The struct is nil when the server is not instrumented, so the disabled
 // path costs one pointer test per request.
 type serverMetrics struct {
-	reg            *observe.Registry
-	requestsHTTP   *observe.Counter
-	requestsRPC    *observe.Counter
-	durationHTTP   *observe.Histogram
-	durationRPC    *observe.Histogram
+	http, rpc      protoMetrics
 	cachedTotal    *observe.Counter
 	coalescedTotal *observe.Counter
-	shedHTTP       *observe.Counter
-	shedRPC        *observe.Counter
 	servedTokens   *observe.Counter
 	tokensPerSec   *observe.Gauge
 	degradedTotal  *observe.Counter
-
-	streamTTFT          *observe.Histogram
-	streamRequestsHTTP  *observe.Counter
-	streamRequestsRPC   *observe.Counter
-	streamCancelledHTTP *observe.Counter
-	streamCancelledRPC  *observe.Counter
+	streamTTFT     *observe.Histogram
 }
 
-func (m *serverMetrics) requestsFor(proto string) *observe.Counter {
-	if proto == "rpc" {
-		return m.requestsRPC
-	}
-	return m.requestsHTTP
+// protoMetrics holds the instruments labelled by serving protocol.
+type protoMetrics struct {
+	requests        *observe.Counter
+	duration        *observe.Histogram
+	shed            *observe.Counter
+	streamRequests  *observe.Counter
+	streamCancelled *observe.Counter
 }
 
-func (m *serverMetrics) durationFor(proto string) *observe.Histogram {
-	if proto == "rpc" {
-		return m.durationRPC
+func newProtoMetrics(reg *observe.Registry, proto string) protoMetrics {
+	l := observe.Label{Key: "proto", Value: proto}
+	return protoMetrics{
+		requests: reg.Counter("wisdom_requests_total",
+			"Prediction requests served.", l),
+		duration: reg.Histogram("wisdom_request_duration_seconds",
+			"Server-side prediction latency.", observe.DefBuckets, l),
+		shed: reg.Counter("wisdom_shed_requests_total",
+			"Requests rejected by overload shedding.", l),
+		streamRequests: reg.Counter("wisdom_stream_requests_total",
+			"Streamed prediction requests started.", l),
+		streamCancelled: reg.Counter("wisdom_stream_cancelled_total",
+			"Streams abandoned before completion (client disconnect or failed write).", l),
 	}
-	return m.durationHTTP
 }
 
-func (m *serverMetrics) shedFor(proto string) *observe.Counter {
+// by returns the instruments of one protocol ("rpc", else HTTP).
+func (m *serverMetrics) by(proto string) *protoMetrics {
 	if proto == "rpc" {
-		return m.shedRPC
+		return &m.rpc
 	}
-	return m.shedHTTP
-}
-
-func (m *serverMetrics) streamRequestsFor(proto string) *observe.Counter {
-	if proto == "rpc" {
-		return m.streamRequestsRPC
-	}
-	return m.streamRequestsHTTP
-}
-
-func (m *serverMetrics) streamCancelledFor(proto string) *observe.Counter {
-	if proto == "rpc" {
-		return m.streamCancelledRPC
-	}
-	return m.streamCancelledHTTP
+	return &m.http
 }
 
 // Instrument registers the server's metrics on reg and makes Handler serve
@@ -545,25 +500,13 @@ func (s *Server) Instrument(reg *observe.Registry) {
 	if reg == nil {
 		return
 	}
-	proto := func(p string) observe.Label { return observe.Label{Key: "proto", Value: p} }
 	m := &serverMetrics{
-		reg: reg,
-		requestsHTTP: reg.Counter("wisdom_requests_total",
-			"Prediction requests served.", proto("http")),
-		requestsRPC: reg.Counter("wisdom_requests_total",
-			"Prediction requests served.", proto("rpc")),
-		durationHTTP: reg.Histogram("wisdom_request_duration_seconds",
-			"Server-side prediction latency.", observe.DefBuckets, proto("http")),
-		durationRPC: reg.Histogram("wisdom_request_duration_seconds",
-			"Server-side prediction latency.", observe.DefBuckets, proto("rpc")),
+		http: newProtoMetrics(reg, "http"),
+		rpc:  newProtoMetrics(reg, "rpc"),
 		cachedTotal: reg.Counter("wisdom_cached_responses_total",
 			"Predictions answered from the response cache."),
 		coalescedTotal: reg.Counter("wisdom_coalesced_requests_total",
 			"Predictions shared from a concurrent identical request's model call."),
-		shedHTTP: reg.Counter("wisdom_shed_requests_total",
-			"Requests rejected by overload shedding.", proto("http")),
-		shedRPC: reg.Counter("wisdom_shed_requests_total",
-			"Requests rejected by overload shedding.", proto("rpc")),
 		servedTokens: reg.Counter("wisdom_served_tokens_total",
 			"Whitespace-delimited tokens in served suggestions."),
 		tokensPerSec: reg.Gauge("wisdom_served_tokens_per_second",
@@ -573,23 +516,14 @@ func (s *Server) Instrument(reg *observe.Registry) {
 		streamTTFT: reg.Histogram("wisdom_stream_ttft_seconds",
 			"Time from stream request arrival to its first delta (time to first token).",
 			observe.DefBuckets),
-		streamRequestsHTTP: reg.Counter("wisdom_stream_requests_total",
-			"Streamed prediction requests started.", proto("http")),
-		streamRequestsRPC: reg.Counter("wisdom_stream_requests_total",
-			"Streamed prediction requests started.", proto("rpc")),
-		streamCancelledHTTP: reg.Counter("wisdom_stream_cancelled_total",
-			"Streams abandoned before completion (client disconnect or failed write).", proto("http")),
-		streamCancelledRPC: reg.Counter("wisdom_stream_cancelled_total",
-			"Streams abandoned before completion (client disconnect or failed write).", proto("rpc")),
 	}
 	reg.GaugeFunc("wisdom_stream_active",
 		"Streamed predictions currently in flight.",
 		func() float64 { return float64(s.activeStreams.Load()) })
-	if fg := s.flight; fg != nil {
-		reg.CounterFunc("wisdom_coalesce_abandoned_total",
-			"Singleflight waiters whose context expired before the leader finished (never received a shared answer).",
-			func() float64 { return float64(fg.Abandoned()) })
-	}
+	fg := s.flight
+	reg.CounterFunc("wisdom_coalesce_abandoned_total",
+		"Singleflight waiters whose context expired before the leader finished (never received a shared answer).",
+		func() float64 { return float64(fg.Abandoned()) })
 	if sp := s.session; sp != nil {
 		reg.GaugeFunc("wisdom_session_active",
 			"Live decode sessions (resident prefix KV states plus states checked out by in-flight generations).",
@@ -660,49 +594,57 @@ func (s *Server) countError(proto, reason string) {
 		observe.Label{Key: "reason", Value: reason}).Inc()
 }
 
-// shedReason maps an admission error to the error-counter reason label.
+// shedReason maps the error that kept a request from being served to the
+// error-counter reason label: the two overload shapes, a client that gave
+// up, and — everything else — a backend that could not answer (no live
+// replica, open breaker, engine shutting down).
 func shedReason(err error) string {
 	var ov interface{ Overloaded() bool }
 	switch {
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	case errors.As(err, &ov) && ov.Overloaded():
-		// The scheduler's admission queue rejected the request — same
-		// overload semantics as the worker pool's, different layer.
+	case errors.Is(err, ErrOverloaded), errors.As(err, &ov) && ov.Overloaded():
+		// The worker pool's or the scheduler's admission queue rejected the
+		// request — same overload semantics, different layer.
 		return "overloaded"
 	case errors.Is(err, ErrQueueTimeout), errors.Is(err, context.DeadlineExceeded):
 		return "queue_timeout"
-	default:
+	case errors.Is(err, context.Canceled):
 		return "canceled"
+	default:
+		return "unavailable"
 	}
 }
 
-// predict answers one request, consulting the cache first, and records the
-// request's signals when the server is instrumented. A non-nil error means
-// the request was shed (or its client gave up) and nothing was served.
-func (s *Server) predict(ctx context.Context, req Request, proto string) (Response, error) {
-	start := time.Now()
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
-		defer cancel()
+// shed accounts one request rejected before anything was delivered, and
+// returns err for the caller to surface.
+func (s *Server) shed(proto string, err error) error {
+	if m := s.met; m != nil {
+		m.by(proto).shed.Inc()
 	}
+	s.countError(proto, shedReason(err))
+	return err
+}
 
-	resp, err := s.answer(ctx, req)
-	if err != nil {
-		if m := s.met; m != nil {
-			m.shedFor(proto).Inc()
-		}
-		s.countError(proto, shedReason(err))
-		return Response{}, err
+// streamCancelled accounts one stream abandoned before its terminal frame
+// (the client went away or a delta write failed).
+func (s *Server) streamCancelled(proto string, err error) error {
+	s.cancelledStreams.Add(1)
+	if m := s.met; m != nil {
+		m.by(proto).streamCancelled.Inc()
 	}
+	s.countError(proto, "stream_cancelled")
+	return errors.Join(errStreamCancelled, err)
+}
+
+// served stamps and accounts one response about to be delivered.
+func (s *Server) served(resp Response, proto string, start time.Time) Response {
 	s.requests.Add(1)
 	resp.LatencyMS = ms(start)
 	resp.Model = s.modelName
 	if m := s.met; m != nil {
 		elapsed := time.Since(start).Seconds()
-		m.requestsFor(proto).Inc()
-		m.durationFor(proto).Observe(elapsed)
+		pm := m.by(proto)
+		pm.requests.Inc()
+		pm.duration.Observe(elapsed)
 		toks := len(strings.Fields(resp.Suggestion))
 		m.servedTokens.Add(toks)
 		if resp.Degraded {
@@ -719,128 +661,172 @@ func (s *Server) predict(ctx context.Context, req Request, proto string) (Respon
 			}
 		}
 	}
-	return resp, nil
+	return resp
 }
 
-// answer resolves a request against the cache, then — coalesced with any
-// concurrent identical request and admitted through the worker pool — the
-// model.
-func (s *Server) answer(ctx context.Context, req Request) (Response, error) {
+// predict answers one unary request: a stream without a sink.
+func (s *Server) predict(ctx context.Context, req Request, proto string) (Response, error) {
+	return s.predictStream(ctx, req, proto, nil)
+}
+
+// predictStream is the one request pipeline (see the package comment for
+// its stages). send is nil for a unary request; for a stream it delivers
+// each delta. The contract with callers:
+//
+//   - A non-nil error with no delta sent means the request was shed (or its
+//     client gave up) before the first byte — the caller can still answer
+//     with a clean protocol-level rejection.
+//   - send failures and ctx cancellation cancel the decode loop (freeing
+//     the worker slot) and surface as errStreamCancelled.
+//   - On success, the returned Response carries the authoritative full
+//     suggestion; Replaced reports that it differs from the concatenated
+//     deltas (late post-processing rewrote the answer) and the client
+//     should re-render from Suggestion.
+func (s *Server) predictStream(ctx context.Context, req Request, proto string, send func(delta string) error) (Response, error) {
+	start := time.Now()
+	if send != nil {
+		s.activeStreams.Add(1)
+		defer s.activeStreams.Add(-1)
+		if m := s.met; m != nil {
+			m.by(proto).streamRequests.Inc()
+		}
+	}
+
 	key := req.Context + "\x00" + req.Prompt
 	if s.cache != nil {
 		if v, ok := s.cache.Get(key); ok {
-			return Response{Suggestion: v, Cached: true}, nil
+			return s.deliverWhole(Response{Suggestion: v, Cached: true}, proto, start, send)
 		}
 	}
-	if s.route != nil {
-		return s.answerRoute(ctx, req, key)
+
+	// The admission deadline bounds a unary request end to end — queueing,
+	// coalesced waiting and the backend call — but only a live stream's wait
+	// for a worker slot: once admitted, a stream is bounded by its client's
+	// patience (ctx), not by the request timeout.
+	actx := ctx
+	if s.reqTimeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, s.reqTimeout)
+		defer cancel()
 	}
-	// Session requests route around singleflight: the session's decode
-	// state is exclusive to one generation at a time, so sharing a leader's
-	// answer (whose decode advances a different session — or none) would
-	// break the state handoff. The worker pool still bounds concurrency, and
-	// the answer still lands in the response cache — session output is
-	// byte-identical to stateless output for the same request.
-	if req.SessionID != "" && s.session != nil {
-		if s.pool != nil {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return Response{}, err
-			}
-			defer s.pool.Release()
-		}
-		if req.SessionReset && s.sessionReset != nil {
-			s.sessionReset.ResetSession(req.SessionID)
-		}
-		v := s.session.PredictSession(req.SessionID, req.Context, req.Prompt)
-		if s.cache != nil {
-			s.cache.Put(key, v)
-		}
-		return Response{Suggestion: v}, nil
+	if send != nil && s.streams {
+		return s.streamLive(ctx, actx, req, key, proto, start, send)
 	}
-	invoke := func() (string, bool, error) {
-		// One pool slot per admitted request, released on every exit path
-		// (a queue-full shed by the scheduler included), so a rejected
-		// request never leaks capacity.
-		if s.pool != nil {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return "", false, err
-			}
-			defer s.pool.Release()
-		}
-		var suggestion string
-		var degraded bool
-		switch {
-		case s.sched != nil:
-			// Continuous-batching path: the engine merges concurrent decodes
-			// at step granularity, so the request goes straight in.
-			var err error
-			if suggestion, err = s.sched.PredictSched(ctx, req.Context, req.Prompt); err != nil {
-				return "", false, err
-			}
-		case s.degrade != nil:
-			suggestion, degraded = s.degrade.PredictDegraded(req.Context, req.Prompt)
-		default:
-			suggestion = s.model.Predict(req.Context, req.Prompt)
-		}
-		// Degraded answers stay out of the cache: they are best-effort, and
-		// caching one would keep serving it after the primary recovers.
-		if s.cache != nil && !degraded {
-			s.cache.Put(key, suggestion)
-		}
-		return suggestion, degraded, nil
+
+	var resp Response
+	var err error
+	if req.SessionID != "" && s.sessions {
+		// Session requests route around singleflight: the session's decode
+		// state (or, behind a router, its replica affinity) is exclusive to
+		// one request at a time, so sharing a leader's answer — whose decode
+		// advanced a different session, or none — would break the state
+		// handoff. The answer still lands in the response cache: session
+		// output is byte-identical to stateless output for the same request.
+		resp.Suggestion, resp.Degraded, err = s.admit(actx, actx, req, key, nil)
+	} else {
+		resp.Suggestion, resp.Degraded, resp.Coalesced, err = s.flight.DoDegraded(actx, key,
+			func() (string, bool, error) { return s.admit(actx, actx, req, key, nil) })
 	}
-	if s.flight == nil { // coalescing disabled (benchmark baseline)
-		v, degraded, err := invoke()
-		if err != nil {
-			return Response{}, err
-		}
-		return Response{Suggestion: v, Degraded: degraded}, nil
-	}
-	v, degraded, coalesced, err := s.flight.DoDegraded(ctx, key, invoke)
 	if err != nil {
-		return Response{}, err
+		return Response{}, s.shed(proto, err)
 	}
-	return Response{Suggestion: v, Coalesced: coalesced, Degraded: degraded}, nil
+	return s.deliverWhole(resp, proto, start, send)
 }
 
-// answerRoute resolves a cache-missed request through the routing tier:
-// coalesced with any concurrent identical request (so duplicate traffic
-// crosses the network once), admitted through the worker pool (so a slow
-// backend fleet cannot absorb unbounded router concurrency), then forwarded
-// by the model's PredictRoute. Session requests bypass the singleflight
-// group — mirroring the local session path — so each session's request
-// reaches the replica its affinity key hashes to instead of sharing a
-// leader's forward that hashed a different (or no) session.
-func (s *Server) answerRoute(ctx context.Context, req Request, key string) (Response, error) {
-	invoke := func() (string, bool, error) {
-		if s.pool != nil {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return "", false, err
-			}
-			defer s.pool.Release()
-		}
-		resp, err := s.route.PredictRoute(ctx, req)
-		if err != nil {
-			return "", false, err
-		}
-		// Degraded answers stay out of the cache, same as the local path.
-		if s.cache != nil && !resp.Degraded {
-			s.cache.Put(key, resp.Suggestion)
-		}
-		return resp.Suggestion, resp.Degraded, nil
+// admit is the one admission stage: it takes a worker slot — one per
+// admitted request, released on every exit path (a queue-full rejection by
+// the scheduler included), so a rejected request never leaks capacity —
+// runs the backend inside it under gctx, and puts a first-class answer in
+// the response cache. Degraded answers stay out of the cache: they are
+// best-effort, and caching one would keep serving it after the primary
+// recovers. So does what a stream cut short left behind (its gctx ended):
+// the partial answer assembled so far.
+func (s *Server) admit(actx, gctx context.Context, req Request, key string, emit func(string)) (string, bool, error) {
+	if err := s.pool.Acquire(actx); err != nil {
+		return "", false, err
 	}
-	if req.SessionID != "" || s.flight == nil {
-		v, degraded, err := invoke()
-		if err != nil {
-			return Response{}, err
-		}
-		return Response{Suggestion: v, Degraded: degraded}, nil
-	}
-	v, degraded, coalesced, err := s.flight.DoDegraded(ctx, key, invoke)
+	defer s.pool.Release()
+	v, degraded, err := s.backend(gctx, req, emit)
 	if err != nil {
-		return Response{}, err
+		return "", false, err
 	}
-	return Response{Suggestion: v, Coalesced: coalesced, Degraded: degraded}, nil
+	if s.cache != nil && !degraded && (emit == nil || gctx.Err() == nil) {
+		s.cache.Put(key, v)
+	}
+	return v, degraded, nil
+}
+
+// deliverWhole serves an answer that exists in full — a cache hit, a unary
+// answer, or a stream request over a backend that cannot stream — which
+// reaches a stream's client as a single delta, so its time-to-first-token
+// is the whole handling time.
+func (s *Server) deliverWhole(resp Response, proto string, start time.Time, send func(string) error) (Response, error) {
+	if send != nil {
+		if m := s.met; m != nil {
+			m.streamTTFT.Observe(time.Since(start).Seconds())
+		}
+		if resp.Suggestion != "" {
+			if err := send(resp.Suggestion); err != nil {
+				return Response{}, s.streamCancelled(proto, err)
+			}
+		}
+	}
+	return s.served(resp, proto, start), nil
+}
+
+// streamLive runs a cache-missed stream over a streaming backend: admitted
+// like any request — before the first byte leaves the server, so a shed
+// stream is indistinguishable on the wire from a shed unary request — then
+// forwarding deltas as the backend emits them.
+func (s *Server) streamLive(ctx, actx context.Context, req Request, key, proto string, start time.Time, send func(string) error) (Response, error) {
+	// The generation context: client disconnect (ctx) or a failed delta
+	// write cancels it, and the neural decode loop checks it per token, so
+	// an abandoned stream stops burning its pool slot within one step.
+	gctx, cancelGen := context.WithCancel(ctx)
+	defer cancelGen()
+	var sent strings.Builder
+	var sendErr error
+	emit := func(d string) {
+		// Empty deltas are suppressed: docs/PROTOCOL.md promises every
+		// delta frame carries text (an empty suggestion streams as a bare
+		// terminal frame).
+		if d == "" || sendErr != nil {
+			return
+		}
+		if sent.Len() == 0 {
+			if m := s.met; m != nil {
+				m.streamTTFT.Observe(time.Since(start).Seconds())
+			}
+		}
+		if err := send(d); err != nil {
+			sendErr = err
+			cancelGen()
+			return
+		}
+		sent.WriteString(d)
+	}
+
+	final, degraded, err := s.admit(actx, gctx, req, key, emit)
+	switch {
+	case sendErr != nil:
+		return Response{}, s.streamCancelled(proto, sendErr)
+	case err != nil && sent.Len() == 0:
+		// Nothing has left the server (pool or scheduler queue full, no live
+		// replica): a clean protocol-level rejection.
+		return Response{}, s.shed(proto, err)
+	case err != nil:
+		// A routed stream failed after its first delta: surfaced as a
+		// terminal error, never replayed.
+		s.countError(proto, "stream_interrupted")
+		return Response{}, err
+	case ctx.Err() != nil:
+		return Response{}, s.streamCancelled(proto, ctx.Err())
+	}
+	return s.served(Response{
+		Suggestion: final,
+		Degraded:   degraded,
+		Replaced:   sent.String() != final,
+	}, proto, start), nil
 }
 
 func ms(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }
@@ -989,9 +975,7 @@ func (s *Server) Stats() Stats {
 			st.HitRate = float64(st.CacheHits) / float64(total)
 		}
 	}
-	if s.flight != nil {
-		st.AbandonedWaiters = s.flight.Abandoned()
-	}
+	st.AbandonedWaiters = s.flight.Abandoned()
 	if s.session != nil {
 		st.SessionsEnabled, st.SessionsActive, st.SessionEvictions, st.SessionReuseRatio = s.session.SessionStats()
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wisdom/internal/observe"
 )
@@ -24,8 +23,6 @@ type sessionEchoModel struct {
 	plainCalls  int      // Predict invocations
 	streamCalls int      // PredictStream invocations
 	evictions   atomic.Uint64
-	// onSession, when set, runs inside PredictSession before it answers.
-	onSession func(sessionID string)
 }
 
 func (m *sessionEchoModel) answer(prompt string) string {
@@ -43,9 +40,6 @@ func (m *sessionEchoModel) PredictSession(sessionID, _, prompt string) string {
 	m.mu.Lock()
 	m.sessionIDs = append(m.sessionIDs, sessionID)
 	m.mu.Unlock()
-	if m.onSession != nil {
-		m.onSession(sessionID)
-	}
 	return m.answer(prompt)
 }
 
@@ -75,82 +69,6 @@ func (m *sessionEchoModel) seenSessions() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.sessionIDs...)
-}
-
-// TestSessionRoutedAroundSingleflight checks that a session request reaches
-// PredictSession directly — bypassing singleflight, whose shared decode
-// cannot carry exclusive session state — while sessionless requests keep
-// the ordinary pipeline: two concurrent identical requests under different
-// session ids must both be inside PredictSession at once.
-func TestSessionRoutedAroundSingleflight(t *testing.T) {
-	arrived := make(chan string, 2)
-	release := make(chan struct{})
-	model := &sessionEchoModel{enabled: true, onSession: func(id string) {
-		arrived <- id
-		<-release
-	}}
-	s := NewServerWithOptions(model, "sess-test", Options{Workers: 2})
-	if s.session == nil {
-		t.Fatal("session routing not enabled")
-	}
-
-	var wg sync.WaitGroup
-	resps := make([]Response, 2)
-	errs := make([]error, 2)
-	for i, id := range []string{"abc", "xyz"} {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			resps[i], errs[i] = s.predict(context.Background(), Request{Prompt: "p", SessionID: id}, "http")
-		}(i, id)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-arrived:
-		case <-time.After(5 * time.Second):
-			t.Fatal("identical session requests were coalesced: only one reached PredictSession")
-		}
-	}
-	close(release)
-	wg.Wait()
-	for i := range resps {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if resps[i].Suggestion != model.answer("p") || resps[i].Coalesced {
-			t.Errorf("response %d = %+v, want an uncoalesced answer", i, resps[i])
-		}
-	}
-	if model.plainCalls != 0 {
-		t.Errorf("session request leaked into the plain path: %d", model.plainCalls)
-	}
-
-	model.onSession = nil
-	if _, err := s.predict(context.Background(), Request{Prompt: "q"}, "http"); err != nil {
-		t.Fatal(err)
-	}
-	if got := model.seenSessions(); len(got) != 2 {
-		t.Errorf("sessionless request reached PredictSession: %v", got)
-	}
-}
-
-// TestSessionDisabledKeepsStatelessPath checks a model reporting sessions
-// disabled never receives session routing, even when the client sends an id.
-func TestSessionDisabledKeepsStatelessPath(t *testing.T) {
-	model := &sessionEchoModel{enabled: false}
-	s := NewServerWithOptions(model, "sess-off", Options{Workers: 1})
-	if s.session != nil {
-		t.Fatal("session routing enabled despite disabled stats")
-	}
-	if _, err := s.predict(context.Background(), Request{Prompt: "p", SessionID: "abc"}, "http"); err != nil {
-		t.Fatal(err)
-	}
-	if got := model.seenSessions(); len(got) != 0 {
-		t.Errorf("PredictSession called on disabled model: %v", got)
-	}
-	if model.plainCalls != 1 {
-		t.Errorf("plain calls = %d, want 1", model.plainCalls)
-	}
 }
 
 // TestSessionHeaderHTTP checks both carriers of the session key over HTTP:
@@ -195,31 +113,6 @@ func TestSessionHeaderHTTP(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("session %d = %q, want %q", i, got[i], want[i])
 		}
-	}
-}
-
-// TestSessionStreamRouting checks a streamed session request reaches
-// PredictStreamSession with its id, and that deltas still flow.
-func TestSessionStreamRouting(t *testing.T) {
-	model := &sessionEchoModel{enabled: true}
-	s := NewServerWithOptions(model, "m", Options{Workers: 1})
-	if s.sessionStream == nil {
-		t.Fatal("session stream routing not enabled")
-	}
-	var got string
-	resp, err := s.predictStream(context.Background(), Request{Prompt: "p", SessionID: "sid"}, "http",
-		func(d string) error { got += d; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != model.answer("p") || resp.Suggestion != got {
-		t.Errorf("streamed %q, final %q", got, resp.Suggestion)
-	}
-	if ids := model.seenSessions(); len(ids) != 1 || ids[0] != "sid" {
-		t.Errorf("PredictStreamSession saw %v", ids)
-	}
-	if model.streamCalls != 0 {
-		t.Errorf("session stream leaked into stateless PredictStream")
 	}
 }
 

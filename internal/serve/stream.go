@@ -1,12 +1,6 @@
-// Streaming serving path: the SSE endpoint, the streamed RPC frame variant,
-// and the client side of both. See docs/PROTOCOL.md for the wire format.
-//
-// A stream bypasses the singleflight group — each stream is an interactive
-// session whose deltas belong to exactly one client — but still consults
-// the response cache (a hit streams as a single delta) and still admits
-// through the worker pool, BEFORE the first byte is written, so overload
-// sheds a stream as a clean HTTP 503 / error frame rather than a torn
-// half-stream.
+// Streaming transports: the SSE endpoint, the streamed RPC frame variant,
+// and the client side of both. See docs/PROTOCOL.md for the wire format; the
+// request pipeline they feed is predictStream in server.go.
 
 package serve
 
@@ -19,8 +13,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"wisdom/internal/resilience"
 )
 
 // StreamingPredictor is implemented by predictors that can emit an answer
@@ -112,213 +104,6 @@ var errStreamInterrupted = errors.New("serve: stream interrupted mid-flight")
 // re-qualify the attempt as retryable.
 func interruptedStreamError(cause error) error {
 	return fmt.Errorf("%w: %v", errStreamInterrupted, cause)
-}
-
-// predictStream answers one request as a stream of deltas pushed through
-// send, returning the terminal response. The contract with callers:
-//
-//   - A non-nil error with no delta sent means the request was shed (or
-//     malformed) before the first byte — the caller can still answer with
-//     a clean protocol-level rejection.
-//   - send failures and ctx cancellation cancel the decode loop (freeing
-//     the worker slot) and surface as errStreamCancelled.
-//   - On success, the returned Response carries the authoritative full
-//     suggestion; Replaced reports that it differs from the concatenated
-//     deltas (late post-processing rewrote the answer) and the client
-//     should re-render from Suggestion.
-//
-// The admission deadline bounds the wait for a worker slot only — a live
-// stream is bounded by the client's patience (ctx), not the unary request
-// timeout.
-func (s *Server) predictStream(ctx context.Context, req Request, proto string, send func(delta string) error) (Response, error) {
-	start := time.Now()
-	s.activeStreams.Add(1)
-	defer s.activeStreams.Add(-1)
-	m := s.met
-	if m != nil {
-		m.streamRequestsFor(proto).Inc()
-	}
-	cancelled := func(err error) (Response, error) {
-		s.cancelledStreams.Add(1)
-		if m != nil {
-			m.streamCancelledFor(proto).Inc()
-		}
-		s.countError(proto, "stream_cancelled")
-		return Response{}, errors.Join(errStreamCancelled, err)
-	}
-	finishOK := func(resp Response) Response {
-		s.requests.Add(1)
-		resp.LatencyMS = ms(start)
-		resp.Model = s.modelName
-		if m != nil {
-			elapsed := time.Since(start).Seconds()
-			m.requestsFor(proto).Inc()
-			m.durationFor(proto).Observe(elapsed)
-			m.servedTokens.Add(len(strings.Fields(resp.Suggestion)))
-			if resp.Degraded {
-				m.degradedTotal.Inc()
-			}
-			if resp.Cached {
-				m.cachedTotal.Inc()
-			}
-		}
-		return resp
-	}
-
-	// Predictors without a streaming path answer through the full unary
-	// pipeline (cache, singleflight, pool) and stream as a single
-	// delta; sheds still happen before any byte is written.
-	if s.stream == nil && s.routeStream == nil {
-		resp, err := s.predict(ctx, req, proto)
-		if err != nil {
-			return Response{}, err
-		}
-		if m != nil {
-			m.streamTTFT.Observe(time.Since(start).Seconds())
-		}
-		if resp.Suggestion != "" {
-			if err := send(resp.Suggestion); err != nil {
-				return cancelled(err)
-			}
-		}
-		return resp, nil
-	}
-
-	// Cache hit: the whole answer is one delta, and time-to-first-token is
-	// one cache lookup.
-	key := req.Context + "\x00" + req.Prompt
-	if s.cache != nil {
-		if v, ok := s.cache.Get(key); ok {
-			if m != nil {
-				m.streamTTFT.Observe(time.Since(start).Seconds())
-			}
-			if v != "" {
-				if err := send(v); err != nil {
-					return cancelled(err)
-				}
-			}
-			return finishOK(Response{Suggestion: v, Cached: true}), nil
-		}
-	}
-
-	// Admission, bounded by the queue deadline. This happens before the
-	// first byte leaves the server: a shed stream is indistinguishable on
-	// the wire from a shed unary request.
-	actx := ctx
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, s.reqTimeout)
-		defer cancel()
-	}
-	if s.pool != nil {
-		if err := s.pool.Acquire(actx); err != nil {
-			if m != nil {
-				m.shedFor(proto).Inc()
-			}
-			s.countError(proto, shedReason(err))
-			return Response{}, err
-		}
-		defer s.pool.Release()
-	}
-
-	// The generation context: client disconnect (ctx) or a failed delta
-	// write cancels it, and the neural decode loop checks it per token, so
-	// an abandoned stream stops burning its pool slot within one step.
-	gctx, cancelGen := context.WithCancel(ctx)
-	defer cancelGen()
-	var sent strings.Builder
-	var sendErr error
-	first := true
-	emit := func(d string) {
-		// Empty deltas are suppressed: docs/PROTOCOL.md promises every
-		// delta frame carries text (an empty suggestion streams as a bare
-		// terminal frame).
-		if d == "" || sendErr != nil {
-			return
-		}
-		if first {
-			first = false
-			if m != nil {
-				m.streamTTFT.Observe(time.Since(start).Seconds())
-			}
-		}
-		if err := send(d); err != nil {
-			sendErr = err
-			cancelGen()
-			return
-		}
-		sent.WriteString(d)
-	}
-
-	var final string
-	var degraded bool
-	switch {
-	case s.routeStream != nil:
-		// Routed streams forward from a backend replica's stream. A failure
-		// before the first delta (no live backend, breaker-open, backend
-		// shed) is a clean protocol-level rejection; after the first delta
-		// it is a mid-stream interruption surfaced as a terminal error —
-		// spillover never replays a started stream.
-		rresp, err := s.routeStream.PredictStreamRoute(gctx, req, emit)
-		if err != nil {
-			if sendErr != nil {
-				return cancelled(sendErr)
-			}
-			if first {
-				if m != nil {
-					m.shedFor(proto).Inc()
-				}
-				s.countError(proto, shedReason(err))
-			} else {
-				s.countError(proto, "stream_interrupted")
-			}
-			return Response{}, err
-		}
-		final, degraded = rresp.Suggestion, rresp.Degraded
-	case req.SessionID != "" && s.sessionStream != nil:
-		// Session streams reuse the session's retained prefix KV state —
-		// time-to-first-body-delta shrinks to the changed suffix. Streams
-		// already bypass singleflight, which is exactly the
-		// isolation exclusive session state needs.
-		if req.SessionReset && s.sessionReset != nil {
-			s.sessionReset.ResetSession(req.SessionID)
-		}
-		final = s.sessionStream.PredictStreamSession(gctx, req.SessionID, req.Context, req.Prompt, emit)
-	case s.schedStream != nil:
-		// Scheduled streams decode through the continuous-batching engine:
-		// the stream joins the shared step batch at the next boundary. The
-		// engine errors only before the first delta (admission queue full or
-		// engine closed), so a rejection here sheds as cleanly as a pool
-		// rejection — no byte has left the server.
-		var err error
-		final, err = s.schedStream.PredictStreamSched(gctx, req.Context, req.Prompt, emit)
-		if err != nil {
-			if m != nil {
-				m.shedFor(proto).Inc()
-			}
-			s.countError(proto, shedReason(err))
-			return Response{}, err
-		}
-	default:
-		final = s.stream.PredictStream(gctx, req.Context, req.Prompt, emit)
-	}
-
-	if sendErr != nil {
-		return cancelled(sendErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return cancelled(err)
-	}
-
-	// Degraded answers stay out of the cache, same as the unary path.
-	if s.cache != nil && !degraded {
-		s.cache.Put(key, final)
-	}
-	return finishOK(Response{
-		Suggestion: final,
-		Degraded:   degraded,
-		Replaced:   sent.String() != final,
-	}), nil
 }
 
 // ---- SSE (chunked HTTP) ----
@@ -565,53 +350,4 @@ func (c *Client) PredictStream(req Request, emit func(delta string)) (Response, 
 			return Response{}, fmt.Errorf("serve: unknown stream frame type %q; protocol violation", fr.Type)
 		}
 	}
-}
-
-// PredictStream performs one streamed prediction, retrying per the options
-// — but only while nothing has been emitted: once a delta has reached emit,
-// a failure is terminal (replaying the stream would duplicate output the
-// caller has already rendered). Shed streams arrive as clean error frames
-// before any delta, so the overload case retries exactly like unary
-// requests.
-func (rc *RetryClient) PredictStream(req Request, emit func(delta string)) (Response, error) {
-	return rc.PredictStreamContext(context.Background(), req, emit)
-}
-
-// PredictStreamContext is PredictStream bounded by ctx.
-func (rc *RetryClient) PredictStreamContext(ctx context.Context, req Request, emit func(delta string)) (Response, error) {
-	var resp Response
-	started := false
-	err := rc.retrier.Do(ctx, func(context.Context) error {
-		b := rc.opts.Breaker
-		if b != nil && !b.Allow() {
-			return resilience.ErrBreakerOpen
-		}
-		c, err := rc.conn()
-		if err != nil {
-			if b != nil {
-				b.Record(err)
-			}
-			return err
-		}
-		r, err := c.PredictStream(req, func(d string) {
-			started = true
-			emit(d)
-		})
-		if b != nil {
-			b.Record(err)
-		}
-		if err != nil {
-			if c.Broken() {
-				rc.drop(c)
-				err = &transportError{err}
-			}
-			if started {
-				return interruptedStreamError(err)
-			}
-			return err
-		}
-		resp = r
-		return nil
-	})
-	return resp, err
 }

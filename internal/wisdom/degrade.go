@@ -1,6 +1,7 @@
 package wisdom
 
 import (
+	"context"
 	"time"
 
 	"wisdom/internal/resilience"
@@ -39,7 +40,7 @@ type ChainConfig struct {
 //
 // The chain is safe for concurrent use when its tiers are (every predictor
 // in this repository is — inference reads frozen state only). A timed-out
-// tier's goroutine is abandoned, not cancelled: generation is pure
+// tier's goroutine is abandoned, not cancelled: unary generation is pure
 // compute with no cancellation points, so the result is discarded when it
 // eventually lands and the goroutine exits. That briefly costs a worker's
 // worth of CPU beyond the pool bound — the standard hedging trade.
@@ -90,32 +91,11 @@ func (c *Chain) Predict(context, prompt string) string {
 }
 
 // PredictDegraded answers one request through the chain and reports whether
-// the answer came from a degraded tier.
-func (c *Chain) PredictDegraded(context, prompt string) (string, bool) {
-	b := c.cfg.Breaker
-	if b == nil || b.Allow() {
-		out, err := callTier(c.primary, context, prompt, c.cfg.Timeout)
-		if b != nil {
-			b.Record(err)
-		}
-		if err == nil {
-			return out, false
-		}
-	}
-	if c.fallback != nil {
-		if out, err := callTier(c.fallback, context, prompt, c.cfg.Timeout); err == nil {
-			c.degraded("fallback")
-			return out, true
-		}
-	}
-	if c.retrieve != nil {
-		if out, ok := c.retrieve(context, prompt); ok {
-			c.degraded("retrieval")
-			return out, true
-		}
-	}
-	c.degraded("none")
-	return "", true
+// the answer came from a degraded tier: PredictStreamDegraded without a
+// sink, so every tier answers through its unary Predict and, never emitting,
+// is abandoned when it outlives the tier timeout.
+func (c *Chain) PredictDegraded(yamlCtx, prompt string) (string, bool) {
+	return c.PredictStreamDegraded(context.Background(), yamlCtx, prompt, nil)
 }
 
 func (c *Chain) degraded(tier string) {
@@ -133,33 +113,6 @@ const (
 	errTimeout = tierError("wisdom: predictor tier timed out")
 	errPanic   = tierError("wisdom: predictor tier panicked")
 )
-
-// callTier runs one tier's Predict bounded by the timeout. The call runs on
-// its own goroutine; on timeout the goroutine is abandoned and its eventual
-// result discarded (see the Chain doc comment for the trade).
-func callTier(p Predictor, context, prompt string, timeout time.Duration) (string, error) {
-	type result struct {
-		out string
-		err error
-	}
-	ch := make(chan result, 1) // buffered: an abandoned tier still exits
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- result{err: errPanic}
-			}
-		}()
-		ch <- result{out: p.Predict(context, prompt)}
-	}()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r.out, r.err
-	case <-t.C:
-		return "", errTimeout
-	}
-}
 
 // RetrievalPredict answers a request from the nearest memorised completion
 // alone, with the permissive fallback threshold and Predict's validation:

@@ -14,23 +14,24 @@ func (c *Chain) PredictStream(ctx context.Context, yamlCtx, prompt string, emit 
 	return out
 }
 
-// PredictStreamDegraded streams one request through the chain: the tier
+// PredictStreamDegraded answers one request through the chain: the tier
 // that answers is the tier that streams, and the returned flag tags the
-// stream degraded when that tier was not the primary.
+// answer degraded when that tier was not the primary. A nil emit asks for
+// the answer alone (the unary form, PredictDegraded).
 //
-// Tier hand-off interacts with streaming in one way the unary path never
+// Tier hand-off interacts with streaming in one way the unary form never
 // sees: a tier that has already emitted deltas cannot be abandoned, because
 // its partial output is on the wire and a lower tier would answer with
 // different bytes. The per-tier timeout therefore bounds a tier's time to
-// FIRST output: a tier that times out silent is abandoned exactly like the
-// unary chain abandons it, while a tier that is already streaming owns the
-// request and the chain waits for it to finish (generation is finite
-// compute, and the caller's ctx still cancels the decode loop itself). A
-// tier that fails after streaming started poisons the stream — lower tiers
-// then answer unary-style, nothing more is emitted, and the caller's
-// delta/answer comparison surfaces the rewrite.
+// FIRST output: a tier that times out silent is abandoned — which, for a
+// unary request, is every tier that times out — while a tier that is
+// already streaming owns the request and the chain waits for it to finish
+// (generation is finite compute, and the caller's ctx still cancels the
+// decode loop itself). A tier that fails after streaming started poisons
+// the stream — the request loses its sink, so lower tiers answer unary-style,
+// nothing more is emitted, and the caller's delta/answer comparison
+// surfaces the rewrite.
 func (c *Chain) PredictStreamDegraded(ctx context.Context, yamlCtx, prompt string, emit func(delta string)) (string, bool) {
-	clean := true // no tier has emitted and then failed
 	b := c.cfg.Breaker
 	if b == nil || b.Allow() {
 		out, started, err := callTierStream(ctx, c.primary, yamlCtx, prompt, c.cfg.Timeout, emit)
@@ -41,22 +42,17 @@ func (c *Chain) PredictStreamDegraded(ctx context.Context, yamlCtx, prompt strin
 			return out, false
 		}
 		if started {
-			clean = false
+			emit = nil
 		}
 	}
-	tierEmit := emit
-	if !clean {
-		tierEmit = func(string) {}
-	}
 	if c.fallback != nil {
-		out, started, err := callTierStream(ctx, c.fallback, yamlCtx, prompt, c.cfg.Timeout, tierEmit)
+		out, started, err := callTierStream(ctx, c.fallback, yamlCtx, prompt, c.cfg.Timeout, emit)
 		if err == nil {
 			c.degraded("fallback")
 			return out, true
 		}
 		if started {
-			clean = false
-			tierEmit = func(string) {}
+			emit = nil
 		}
 	}
 	if c.retrieve != nil {
@@ -64,7 +60,9 @@ func (c *Chain) PredictStreamDegraded(ctx context.Context, yamlCtx, prompt strin
 			c.degraded("retrieval")
 			// Retrieval is instantaneous: the whole answer goes out as one
 			// delta (when the stream is still clean).
-			tierEmit(out)
+			if emit != nil {
+				emit(out)
+			}
 			return out, true
 		}
 	}
@@ -81,13 +79,13 @@ type emitGate struct {
 	mu        sync.Mutex
 	started   bool
 	abandoned bool
-	emit      func(string)
+	emit      func(string) // nil: the request has no sink, nothing ever starts
 }
 
 func (g *emitGate) send(d string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.abandoned {
+	if g.abandoned || g.emit == nil {
 		return
 	}
 	g.started = true
@@ -112,12 +110,13 @@ func (g *emitGate) hasStarted() bool {
 	return g.started
 }
 
-// callTierStream runs one tier's streaming prediction bounded by the
-// timeout in the way the Chain doc describes: silent tiers are abandoned on
-// timeout (their late deltas discarded), streaming tiers are waited out.
-// Tiers without a streaming implementation run their unary Predict and emit
-// the whole answer as one delta on success. started reports whether any
-// delta reached the caller's emit.
+// callTierStream runs one tier's prediction on its own goroutine, bounded by
+// the timeout in the way the Chain doc describes: silent tiers are abandoned
+// on timeout (their late deltas and eventual result discarded), streaming
+// tiers are waited out. A tier without a streaming implementation, and any
+// tier when emit is nil, runs its unary Predict; given a sink, it emits the
+// whole answer as one delta on success. started reports whether any delta
+// reached the caller's emit.
 func callTierStream(ctx context.Context, p Predictor, yamlCtx, prompt string,
 	timeout time.Duration, emit func(string)) (out string, started bool, err error) {
 	type result struct {
@@ -132,7 +131,7 @@ func callTierStream(ctx context.Context, p Predictor, yamlCtx, prompt string,
 				ch <- result{err: errPanic}
 			}
 		}()
-		if sp, ok := p.(StreamPredictor); ok {
+		if sp, ok := p.(StreamPredictor); ok && emit != nil {
 			ch <- result{out: sp.PredictStream(ctx, yamlCtx, prompt, gate.send)}
 			return
 		}

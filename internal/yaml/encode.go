@@ -205,10 +205,12 @@ func needsQuoting(v string) bool {
 		return true
 	}
 	switch v[0] {
-	case '-', '?', ':', ',', '[', ']', '{', '}', '#', '&', '*', '!', '|', '>', '\'', '"', '%', '@', '`', ' ':
+	case '-', '?', ':', ',', '[', ']', '{', '}', '#', '&', '*', '!', '|', '>', '\'', '"', '%', '@', '`':
 		return true
 	}
-	if strings.HasSuffix(v, " ") || strings.HasSuffix(v, ":") {
+	// The parser trims plain scalars with strings.TrimSpace, which knows the
+	// Unicode spaces (U+0085, U+2003, U+200A, ...) as well as the ASCII one.
+	if strings.TrimSpace(v) != v || strings.HasSuffix(v, ":") {
 		return true
 	}
 	if strings.Contains(v, ": ") || strings.Contains(v, " #") {

@@ -106,6 +106,9 @@ func genNode(r *rand.Rand, depth int) *Node {
 				"true", "123", "3.14", "null", "", "a: b", "#x", "- y",
 				"it's", `quote"inside`, "trailing ", " leading",
 				"http://host:80", "a\nb\nc\n", "multi\nline", "x\n\ny\n",
+				// Unicode spaces at the ends: the parser trims plain scalars
+				// with strings.TrimSpace, so these must come out quoted.
+				"x\u200a", "\u2003x", "x\u0085",
 			}
 			return ScalarTyped(tricky[r.Intn(len(tricky))], StrTag, Plain)
 		default:

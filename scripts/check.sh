@@ -54,14 +54,7 @@ awk -v got="$total" -v floor="$COVER_FLOOR" 'BEGIN {
 
 if [ "$FUZZTIME" != "0" ]; then
     echo "== fuzz smoke (${FUZZTIME} per target)"
-    go test -run='^$' -fuzz='^FuzzParseYAML$' -fuzztime="$FUZZTIME" ./internal/yaml
-    go test -run='^$' -fuzz='^FuzzDecodeFrame$' -fuzztime="$FUZZTIME" ./internal/serve
-    go test -run='^$' -fuzz='^FuzzEncodeFrame$' -fuzztime="$FUZZTIME" ./internal/serve
-    go test -run='^$' -fuzz='^FuzzDecodeStreamFrame$' -fuzztime="$FUZZTIME" ./internal/serve
-    go test -run='^$' -fuzz='^FuzzAdminRequest$' -fuzztime="$FUZZTIME" ./internal/serve
-    go test -run='^$' -fuzz='^FuzzEncode$' -fuzztime="$FUZZTIME" ./internal/tokenizer
-    go test -run='^$' -fuzz='^FuzzRingLookup$' -fuzztime="$FUZZTIME" ./internal/router
-    go test -run='^$' -fuzz='^FuzzDecodePathsAgree$' -fuzztime="$FUZZTIME" ./internal/neural
+    FUZZTIME="$FUZZTIME" ./scripts/fuzz.sh
 fi
 
 echo "OK"
