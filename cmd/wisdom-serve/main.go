@@ -9,8 +9,10 @@
 //	curl -s localhost:8080/metrics     # Prometheus text format
 //	curl -s localhost:8080/healthz     # liveness probe
 //
-// -sched enables the continuous-batching scheduler (see ARCHITECTURE.md,
-// "Continuous batching");
+// The served model, not a flag, decides what is composed around it: a
+// transformer (wisdom-serve -load <checkpoint>) decodes through the
+// continuous-batching engine and keeps per-session prefix KV state; one
+// startup line says which (see ARCHITECTURE.md, "Concurrency model").
 // -pprof :6060 exposes net/http/pprof on a side listener.
 //
 // SIGINT/SIGTERM drain in-flight HTTP and RPC requests within the -drain
@@ -62,9 +64,7 @@ func main() {
 	sessions := flag.Int("sessions", 64, "max resident per-session prefix KV decode states (0 disables sessions)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "evict sessions idle longer than this (negative disables idle eviction)")
 	sessionMem := flag.Int64("session-mem", 0, "cap estimated session-state memory in bytes (0 = unbounded)")
-	sched := flag.Bool("sched", false, "decode through the continuous-batching scheduler (transformer models only)")
-	schedMaxBatch := flag.Int("sched-max-batch", 8, "step-batch slots of the continuous-batching scheduler")
-	schedQueue := flag.Int("sched-queue", 0, "admission queue depth of the scheduler (0 = 4x slots)")
+	schedMaxBatch := flag.Int("sched-max-batch", 8, "step-batch slots of the continuous-batching engine a transformer model decodes through")
 	flag.Parse()
 
 	var reg *observe.Registry
@@ -78,48 +78,29 @@ func main() {
 
 	model, fallback := buildModel(*loadPath, *savePath, *variant, *quick, tracer)
 
-	// Per-session prefix KV caching: only transformer-backed models hold
-	// reusable decode state (the n-gram zoo decodes from counts), and the
-	// degradation chain re-routes requests across tiers, which breaks
-	// session affinity — so sessions engage only on a neural model served
-	// directly.
-	if *sessions > 0 && !*degrade {
-		ttl := *sessionTTL
-		if ttl < 0 {
-			ttl = -1
-		}
-		if model.EnableSessions(neural.SessionCacheConfig{
-			MaxSessions: *sessions, TTL: ttl, MaxBytes: *sessionMem,
-		}) {
-			fmt.Fprintf(os.Stderr, "sessions on: %d max, ttl %s\n", *sessions, *sessionTTL)
-		} else {
-			fmt.Fprintf(os.Stderr, "sessions unavailable: %s has no per-session decode state (n-gram LM)\n", model.Name)
-		}
-	} else if *sessions > 0 && *degrade {
-		fmt.Fprintln(os.Stderr, "sessions unavailable: disabled under -degrade (the chain re-routes requests across tiers)")
-	}
-
-	// Continuous-batching scheduler: concurrent decodes share one step batch
-	// through a persistent engine loop. Like sessions it needs the
-	// transformer's batched step kernel, and the degradation chain's tier
-	// re-routing would bypass the engine — so it engages only on a neural
-	// model served directly.
+	// A transformer served directly decodes through the continuous-batching
+	// engine (concurrent decodes share one step batch) and keeps per-session
+	// prefix KV state. The n-gram zoo decodes from counts and has neither to
+	// offer, and the degradation chain re-routes requests across tiers, which
+	// would bypass the engine and break session affinity.
+	engine, sessionState := "engine off", "sessions off"
 	workerCount := *workers
-	if *sched && !*degrade {
-		if model.EnableScheduler(neural.EngineConfig{MaxBatch: *schedMaxBatch, Queue: *schedQueue}) {
-			fmt.Fprintf(os.Stderr, "scheduler on: %d step-batch slots, kernel procs %d\n",
-				*schedMaxBatch, neural.KernelProcs())
+	if !*degrade {
+		if *sessions > 0 && model.EnableSessions(neural.SessionCacheConfig{
+			MaxSessions: *sessions, TTL: *sessionTTL, MaxBytes: *sessionMem, // any negative TTL disables idle eviction
+		}) {
+			sessionState = fmt.Sprintf("sessions on (%d max, ttl %s)", *sessions, *sessionTTL)
+		}
+		if model.EnableScheduler(neural.EngineConfig{MaxBatch: *schedMaxBatch}) {
+			engine = fmt.Sprintf("engine on (%d step-batch slots, kernel procs %d)", *schedMaxBatch, neural.KernelProcs())
 			// The engine decodes many requests per worker slot, so the pool
 			// should admit at least a full batch plus queued headroom.
 			if workerCount == 0 {
 				workerCount = 2 * *schedMaxBatch
 			}
-		} else {
-			fmt.Fprintf(os.Stderr, "scheduler unavailable: %s has no batched decode path (n-gram LM)\n", model.Name)
 		}
-	} else if *sched && *degrade {
-		fmt.Fprintln(os.Stderr, "scheduler unavailable: disabled under -degrade (the chain re-routes requests across tiers)")
 	}
+	fmt.Fprintf(os.Stderr, "%s: %s, %s\n", model.Name, engine, sessionState)
 
 	// The served predictor is either the raw model or, with -degrade, the
 	// degradation chain around it: the fine-tuned model as primary, the

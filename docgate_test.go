@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -21,6 +24,9 @@ var docGatePackages = []string{
 	"internal/resilience",
 	"internal/neural",
 	"internal/router",
+	"internal/wisdom",
+	"internal/ngram",
+	"internal/lexical",
 }
 
 func TestDocGate(t *testing.T) {
@@ -77,6 +83,51 @@ func checkFileDocs(t *testing.T, fset *token.FileSet, file *ast.File) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReadmeFlagTables holds the README's flag tables to the binaries: every
+// flag `-h` prints is named in that binary's table, and every flag the table
+// names exists. Names only — defaults and meanings are prose. A row naming
+// several flags (`-load` / `-save`) counts for each.
+func TestReadmeFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	usageFlag := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
+	tableRow := regexp.MustCompile("(?m)^\\| (`-[^|]*) \\|")
+	rowFlag := regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+	for tool, heading := range map[string]string{
+		"wisdom-serve":  "### wisdom-serve flags\n",
+		"wisdom-router": "### Sharded serving (wisdom-router)\n",
+	} {
+		_, section, ok := strings.Cut(string(readme), heading)
+		if !ok {
+			t.Fatalf("README.md has no %q section", strings.TrimSpace(heading))
+		}
+		section, _, _ = strings.Cut(section, "\n#") // up to the next heading
+		documented := map[string]bool{}
+		for _, row := range tableRow.FindAllStringSubmatch(section, -1) {
+			for _, f := range rowFlag.FindAllStringSubmatch(row[1], -1) {
+				documented[f[1]] = true
+			}
+		}
+		usage, _ := exec.Command(buildTool(t, tool), "-h").CombinedOutput() // -h exits 2 after printing
+		var drift []string
+		for _, f := range usageFlag.FindAllStringSubmatch(string(usage), -1) {
+			if !documented[f[1]] {
+				drift = append(drift, "-"+f[1]+" is missing from the README table")
+			}
+			delete(documented, f[1])
+		}
+		for f := range documented {
+			drift = append(drift, "-"+f+" is in the README table but not in the binary")
+		}
+		sort.Strings(drift)
+		if len(drift) > 0 {
+			t.Errorf("%s: %s", tool, strings.Join(drift, "; "))
 		}
 	}
 }

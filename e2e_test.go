@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -173,6 +174,10 @@ func postJSON(t *testing.T, url string, req serve.Request) (*http.Response, serv
 // with SIGTERM.
 func TestE2EHappyPath(t *testing.T) {
 	p := startServe(t, "-load", e2eModelPath(t))
+	// An n-gram model has no decode state to batch or retain.
+	if logs := p.stderr.String(); !strings.Contains(logs, ": engine off, sessions off") {
+		t.Errorf("startup line for an n-gram model:\n%s", logs)
+	}
 
 	// HTTP prediction.
 	base := "http://" + p.httpAddr
@@ -229,47 +234,115 @@ func TestE2EHappyPath(t *testing.T) {
 	}
 }
 
-// TestE2ESchedFallback boots the binary with -sched over the persisted
-// (n-gram) model: the scheduler must report itself unavailable — only
-// transformer-backed models batch decode steps — while the ordinary pipeline
-// keeps serving, /v1/stats reports the scheduler disabled, and SIGTERM still
-// drains cleanly. The scheduler's live decode path is stress-tested against
-// a real transformer in TestSchedStressHTTP (sched_stress_test.go); the
-// persistence format only carries n-gram models, so the binary cannot -load
-// a neural one.
-func TestE2ESchedFallback(t *testing.T) {
-	p := startServe(t, "-load", e2eModelPath(t), "-sched", "-sched-max-batch", "4")
-	if logs := p.stderr.String(); !strings.Contains(logs, "scheduler unavailable") {
-		t.Fatalf("scheduler fallback notice missing:\n%s", logs)
-	}
-
-	base := "http://" + p.httpAddr
-	resp, out := postJSON(t, base+"/v1/completions", serve.Request{Prompt: "install nginx"})
-	if resp.StatusCode != 200 || !strings.HasPrefix(out.Suggestion, "- name:") {
-		t.Errorf("request under -sched fallback: %d %q", resp.StatusCode, out.Suggestion)
-	}
-
-	st, err := http.Get(base + "/v1/stats")
+// TestE2ETransformerCheckpoint is the deployable path for a transformer: a
+// wisdom.Model saved in-process is what the real binary loads, and the model
+// — not a flag — turns on the continuous-batching engine and session KV
+// reuse. Every protocol must answer exactly what the in-process model
+// predicts, a keystroke pair on one session_id must reuse prefix state, and
+// SIGTERM must drain the engine. Under -degrade the same file gets neither.
+func TestE2ETransformerCheckpoint(t *testing.T) {
+	model := schedStressModel(t)
+	path := filepath.Join(t.TempDir(), "transformer.ckpt")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stBody, _ := io.ReadAll(st.Body)
-	st.Body.Close()
-	var stats struct {
-		SchedEnabled bool `json:"sched_enabled"`
+	if err := model.Save(f); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(stBody, &stats); err != nil {
-		t.Fatalf("bad /v1/stats payload %s: %v", stBody, err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if stats.SchedEnabled {
-		t.Error("/v1/stats reports the scheduler enabled on an n-gram model")
+	want := model.Predict("", "Install nginx")
+	if !strings.HasPrefix(want, "- name: Install nginx\n  ansible.builtin.apt:") {
+		t.Fatalf("in-process Predict = %q", want)
+	}
+	stats := func(p *serveProc) serve.Stats {
+		t.Helper()
+		resp, err := http.Get("http://" + p.httpAddr + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st serve.Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("bad /v1/stats payload: %v", err)
+		}
+		return st
+	}
+
+	// Cache off so all three protocols reach the engine.
+	p := startServe(t, "-load", path, "-cache", "0", "-sched-max-batch", "4")
+	if logs := p.stderr.String(); !strings.Contains(logs, model.Name+": engine on (4 step-batch slots") ||
+		!strings.Contains(logs, "sessions on (64 max") {
+		t.Fatalf("startup line does not report engine and sessions on:\n%s", logs)
+	}
+	if st := stats(p); !st.SchedEnabled || st.SchedMaxBatch != 4 || !st.SessionsEnabled {
+		t.Fatalf("/v1/stats = %+v, want scheduler and sessions enabled", st)
+	}
+
+	base := "http://" + p.httpAddr
+	req := serve.Request{Prompt: "Install nginx"}
+	if resp, out := postJSON(t, base+"/v1/completions", req); resp.StatusCode != 200 || out.Suggestion != want {
+		t.Errorf("http unary: %d %q, want %q", resp.StatusCode, out.Suggestion, want)
+	}
+	final, joined, err := sseStream(base, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Suggestion != want || joined != want {
+		t.Errorf("sse: final %q, deltas %q, want %q", final.Suggestion, joined, want)
+	}
+	client, err := serve.Dial(p.rpcAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var deltas strings.Builder
+	rresp, err := client.PredictStream(req, func(d string) { deltas.WriteString(d) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rresp.Suggestion != want || deltas.String() != want {
+		t.Errorf("rpc stream: final %q, deltas %q, want %q", rresp.Suggestion, deltas.String(), want)
+	}
+	if st := stats(p); st.SchedAdmitted < 3 {
+		t.Errorf("engine admitted %d decodes, want the 3 just served", st.SchedAdmitted)
+	}
+
+	// Two keystrokes of one editor session: the second re-steps only the
+	// suffix the first did not cover.
+	for _, typed := range []string{"Install ng", "Install nginx"} {
+		resp, out := postJSON(t, base+"/v1/completions", serve.Request{Prompt: typed, SessionID: "editor-1"})
+		if resp.StatusCode != 200 || out.Suggestion != model.Predict("", typed) {
+			t.Errorf("session keystroke %q: %d %q", typed, resp.StatusCode, out.Suggestion)
+		}
+	}
+	if st := stats(p); st.SessionReuseRatio <= 0 {
+		t.Errorf("session_reuse_ratio = %v after a shared-prefix keystroke pair", st.SessionReuseRatio)
 	}
 
 	if err := p.terminate(t); err != nil {
 		t.Errorf("SIGTERM exit: %v\n%s", err, p.stderr.String())
 	}
-	if logs := p.stderr.String(); !strings.Contains(logs, "shutdown complete") {
-		t.Errorf("drain log missing:\n%s", logs)
+	if logs := p.stderr.String(); !strings.Contains(logs, "shutdown complete") || strings.Contains(logs, "scheduler drain:") {
+		t.Errorf("engine did not drain cleanly:\n%s", logs)
+	}
+
+	// The degradation chain re-routes across tiers, so the same checkpoint
+	// served under -degrade composes neither.
+	d := startServe(t, "-load", path, "-degrade")
+	if logs := d.stderr.String(); !strings.Contains(logs, model.Name+": engine off, sessions off") {
+		t.Errorf("startup line under -degrade:\n%s", logs)
+	}
+	if st := stats(d); st.SchedEnabled || st.SessionsEnabled {
+		t.Errorf("/v1/stats under -degrade = %+v, want neither", st)
+	}
+	if resp, out := postJSON(t, "http://"+d.httpAddr+"/v1/completions", req); resp.StatusCode != 200 || out.Suggestion != want {
+		t.Errorf("under -degrade: %d %q, want %q", resp.StatusCode, out.Suggestion, want)
+	}
+	if err := d.terminate(t); err != nil {
+		t.Errorf("SIGTERM exit under -degrade: %v", err)
 	}
 }
 

@@ -2,20 +2,33 @@ package lexical
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	m := build()
+// roundTrip sends the model's snapshot through gob, the way the wisdom
+// checkpoint carries it, and rebuilds a model from what arrives.
+func roundTrip(t *testing.T, m *Model) *Model {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	var snap Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return back
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	m := build()
+	back := roundTrip(t, m)
 	if !back.Trained() || back.Pairs() != m.Pairs() {
 		t.Fatalf("trained=%v pairs=%d vs %d", back.Trained(), back.Pairs(), m.Pairs())
 	}
@@ -36,22 +49,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("x"))); err == nil {
-		t.Error("garbage accepted")
+func TestFromSnapshotRejects(t *testing.T) {
+	if _, err := FromSnapshot(Snapshot{}); err == nil {
+		t.Error("snapshot without a vocabulary accepted")
 	}
 }
 
-func TestSaveLoadEmpty(t *testing.T) {
+func TestSnapshotEmpty(t *testing.T) {
 	m := New(8)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, m)
 	if back.Trained() {
 		t.Error("empty model reports trained after reload")
 	}

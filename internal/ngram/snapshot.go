@@ -1,43 +1,34 @@
 package ngram
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// snapshot is the gob wire format: order, vocabulary and the per-level
-// context tables flattened to exported types.
-type snapshot struct {
+// Snapshot is the plain-data form of a Model that the wisdom checkpoint
+// embeds: order, vocabulary and the per-level context tables flattened to
+// exported types. The total of each context is recomputed on the way back.
+type Snapshot struct {
 	Order     int
 	VocabSize int
 	// Levels[k] maps packed contexts of length k to continuation counts.
 	Levels []map[string]map[int]int
 }
 
-// Save serialises the model with encoding/gob.
-func (m *Model) Save(w io.Writer) error {
-	snap := snapshot{Order: m.order, VocabSize: m.vocabSize}
+// Snapshot returns the model's tables as plain data. The count maps are
+// shared with the model, not copied: encode the snapshot, do not modify it.
+func (m *Model) Snapshot() Snapshot {
+	snap := Snapshot{Order: m.order, VocabSize: m.vocabSize}
 	for _, level := range m.ctx {
 		flat := make(map[string]map[int]int, len(level))
 		for key, c := range level {
-			counts := make(map[int]int, len(c.counts))
-			for tok, n := range c.counts {
-				counts[tok] = n
-			}
-			flat[key] = counts
+			flat[key] = c.counts
 		}
 		snap.Levels = append(snap.Levels, flat)
 	}
-	return gob.NewEncoder(w).Encode(snap)
+	return snap
 }
 
-// Load restores a model saved by Save.
-func Load(r io.Reader) (*Model, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ngram: decode: %w", err)
-	}
+// FromSnapshot rebuilds a model from its snapshot, taking ownership of the
+// snapshot's count maps. The result is trainable like any other model.
+func FromSnapshot(snap Snapshot) (*Model, error) {
 	m, err := New(snap.Order, snap.VocabSize)
 	if err != nil {
 		return nil, err
@@ -48,9 +39,8 @@ func Load(r io.Reader) (*Model, error) {
 	for k, flat := range snap.Levels {
 		level := make(map[string]*continuations, len(flat))
 		for key, counts := range flat {
-			c := &continuations{counts: make(map[int]int, len(counts))}
-			for tok, n := range counts {
-				c.counts[tok] = n
+			c := &continuations{counts: counts}
+			for _, n := range counts {
 				c.total += n
 			}
 			level[key] = c

@@ -2,20 +2,33 @@ package ngram
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	m := trainToy(t, 3)
+// roundTrip sends the model's snapshot through gob, the way the wisdom
+// checkpoint carries it, and rebuilds a model from what arrives.
+func roundTrip(t *testing.T, m *Model) *Model {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	var snap Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return back
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	m := trainToy(t, 3)
+	back := roundTrip(t, m)
 	if back.Order() != m.Order() || back.VocabSize() != m.VocabSize() {
 		t.Fatalf("shape changed: %d/%d vs %d/%d", back.Order(), back.VocabSize(), m.Order(), m.VocabSize())
 	}
@@ -50,25 +63,24 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage accepted")
+func TestFromSnapshotRejects(t *testing.T) {
+	for name, snap := range map[string]Snapshot{
+		"zero value":     {},
+		"no vocabulary":  {Order: 2, Levels: make([]map[string]map[int]int, 2)},
+		"missing levels": {Order: 3, VocabSize: 5, Levels: make([]map[string]map[int]int, 2)},
+	} {
+		if _, err := FromSnapshot(snap); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
-func TestSaveLoadEmptyModel(t *testing.T) {
+func TestSnapshotEmptyModel(t *testing.T) {
 	m, err := New(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, m)
 	if p := back.Prob(nil, 1); math.Abs(p-0.2) > 1e-12 {
 		t.Errorf("empty model prob = %v, want uniform 0.2", p)
 	}

@@ -107,6 +107,7 @@ func (c *Chain) degraded(tier string) {
 // tierError is a chain-internal failure of one tier.
 type tierError string
 
+// Error implements error: the tierError is its own message.
 func (e tierError) Error() string { return string(e) }
 
 const (

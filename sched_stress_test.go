@@ -53,8 +53,8 @@ func schedStressModel(t *testing.T) *wisdom.Model {
 // with mixed concurrent unary and streamed traffic over a real transformer.
 // Every answer must be a well-formed task identical to the serial Predict,
 // the engine (not the serial path) must have decoded the traffic, and the
-// scheduler metrics must be exported. This is the live-scheduler counterpart
-// of TestE2ESchedFallback, which covers the binary's flag wiring.
+// scheduler metrics must be exported. TestE2ETransformerCheckpoint covers the
+// same engine behind the real binary.
 func TestSchedStressHTTP(t *testing.T) {
 	model := schedStressModel(t)
 	want := model.Predict("", "Install nginx")

@@ -37,8 +37,8 @@ echo "== bench smoke (continuous-batching kernels compile and run)"
 go test ./internal/neural/ -run XXX -benchtime 100ms \
     -bench 'BenchmarkStepParallel|BenchmarkEngineMixed' >/dev/null
 
-echo "== docs freshness (exported identifiers documented)"
-go test -run '^TestDocGate$' -count=1 .
+echo "== docs freshness (exported identifiers documented, README flag tables match -h)"
+go test -run '^(TestDocGate|TestReadmeFlagTables)$' -count=1 .
 
 echo "== coverage floor (${COVER_FLOOR}%)"
 go test -short -count=1 -coverprofile=coverage.out ./... >/dev/null
