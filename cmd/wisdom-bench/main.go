@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	wisdom-bench [-quick] [-table 1|2|3|4|5|throughput|engine|all] [-figure 2]
+//	wisdom-bench [-quick] [-table 1|2|3|4|5|throughput|sensitivity|ablation|decoding|all] [-figure 2]
 //	wisdom-bench -quick -trace -metrics   # per-stage timings + metrics dump
 //
 // Each run is fully deterministic for a given configuration; -trace and
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"wisdom/internal/dataset"
 	"wisdom/internal/experiments"
@@ -23,11 +24,20 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "use the reduced (smoke-test) configuration")
-	table := flag.String("table", "all", "table to regenerate: 1, 2, 3, 4, 5, throughput, sensitivity, ablation, decoding, engine, or all")
+	table := flag.String("table", "all", "table to regenerate: "+strings.Join(tables, ", ")+", or all")
 	figure := flag.Int("figure", 0, "figure to print (2 prints one sample per generation type)")
 	metricsOn := flag.Bool("metrics", false, "dump collected metrics in Prometheus text format to stderr at exit")
 	traceOn := flag.Bool("trace", false, "log stage span timings to stderr and print a stage summary at exit")
 	flag.Parse()
+	// Validate before building the suite, which takes minutes at the
+	// default scale: an unknown table must not cost a build and print
+	// nothing.
+	run, err := selectTables(*table)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wisdom-bench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var reg *observe.Registry
 	if *metricsOn {
@@ -58,15 +68,6 @@ func main() {
 	if *figure == 2 {
 		printFigure2(suite)
 		return
-	}
-
-	run := map[string]bool{}
-	if *table == "all" {
-		for _, t := range []string{"1", "2", "3", "4", "5", "throughput", "sensitivity", "ablation", "decoding", "engine"} {
-			run[t] = true
-		}
-	} else {
-		run[*table] = true
 	}
 
 	if run["1"] {
@@ -127,17 +128,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if run["engine"] {
-		rows, err := suite.DecodeEngine()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Decode engine throughput (emitted tokens/second, benchmark model)")
-		for _, r := range rows {
-			fmt.Printf("%-24s %10.1f tok/s\n", r.Path, r.TokensPerSec)
-		}
-		fmt.Println()
-	}
 	if run["throughput"] {
 		res, err := suite.Throughput()
 		if err != nil {
@@ -159,6 +149,24 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// tables are the values -table accepts besides "all", in print order.
+var tables = []string{"1", "2", "3", "4", "5", "throughput", "sensitivity", "ablation", "decoding"}
+
+// selectTables returns the set of tables a -table value names: every table
+// for "all", else the one it names. Any other value is an error.
+func selectTables(table string) (map[string]bool, error) {
+	run := map[string]bool{}
+	for _, t := range tables {
+		if table == "all" || table == t {
+			run[t] = true
+		}
+	}
+	if len(run) == 0 {
+		return nil, fmt.Errorf("unknown -table %q (want %s or all)", table, strings.Join(tables, ", "))
+	}
+	return run, nil
 }
 
 func printFigure2(suite *experiments.Suite) {

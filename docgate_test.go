@@ -4,8 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -128,6 +130,68 @@ func TestReadmeFlagTables(t *testing.T) {
 		sort.Strings(drift)
 		if len(drift) > 0 {
 			t.Errorf("%s: %s", tool, strings.Join(drift, "; "))
+		}
+	}
+}
+
+// stdMethods are method names the standard library calls through an
+// interface (error, fmt, io, net.Conn, sort, heap, encoding, http.Handler):
+// such a method is reached without a reference in this module.
+var stdMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true, "Is": true, "As": true, "Format": true,
+	"Read": true, "Write": true, "Close": true, "LocalAddr": true, "RemoteAddr": true,
+	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"GobEncode": true, "GobDecode": true, "ServeHTTP": true,
+}
+
+// TestNoUnreferencedExports fails on any exported function or method under
+// internal/ whose name appears nowhere else in the module — tests,
+// benchmark/, examples/ and cmd/ all count as references — so an export no
+// caller reaches cannot regrow. Methods named in stdMethods are exempt;
+// there is no per-name allowlist. scripts/check.sh runs it with the doc gate.
+func TestNoUnreferencedExports(t *testing.T) {
+	var exports []*ast.Ident
+	declared := map[*ast.Ident]bool{}
+	uses := map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/") && !strings.HasSuffix(path, "_test.go")
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				declared[fn.Name] = true
+				if internal && fn.Name.IsExported() && !(fn.Recv != nil && stdMethods[fn.Name.Name]) {
+					exports = append(exports, fn.Name)
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				uses[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range exports {
+		if uses[id.Name] == 0 {
+			t.Errorf("%s: exported %s is referenced nowhere in the module", fset.Position(id.Pos()), id.Name)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func main() {
 	// Greedy completion of a task prefix.
 	prefix := "---\n" + firstTaskNameLine(distinct[0]) + "\n"
 	ids := tok.Encode(prefix)
-	out := model.Generate(ids, 40, neural.GenOptions{StopToken: tok.Sep()})
+	out := model.GenerateCached(ids, 40, neural.GenOptions{StopToken: tok.Sep()})
 	fmt.Println("greedy completion of a task prefix:")
 	fmt.Printf("%s%s\n", prefix, tok.Decode(out))
 }

@@ -144,13 +144,3 @@ func PlayKeyword(name string) (Keyword, bool) {
 	k, ok := playKeywordSet[name]
 	return k, ok
 }
-
-// IsLoopKeyword reports whether name is one of the looping keywords
-// (loop, with_items, with_dict, with_fileglob).
-func IsLoopKeyword(name string) bool {
-	switch name {
-	case "loop", "with_items", "with_dict", "with_fileglob":
-		return true
-	}
-	return false
-}

@@ -125,7 +125,4 @@ func TestKeywords(t *testing.T) {
 	if IsTaskKeyword("apt") || IsPlayKeyword("shell") || IsBlockKeyword("when") {
 		t.Error("module/keyword confusion")
 	}
-	if !IsLoopKeyword("with_items") || IsLoopKeyword("when") {
-		t.Error("IsLoopKeyword broken")
-	}
 }

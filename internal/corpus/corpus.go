@@ -54,9 +54,6 @@ type File struct {
 // IsAnsible reports whether the file holds Ansible-YAML.
 func (f File) IsAnsible() bool { return f.Kind == AnsibleTasks || f.Kind == AnsiblePlaybook }
 
-// IsYAML reports whether the file holds YAML of any kind.
-func (f File) IsYAML() bool { return f.IsAnsible() || f.Kind == GenericYAML }
-
 // dupRate is the fraction of crawled files that are exact duplicates of an
 // earlier file, exercising the pipeline's dedup stage (the real crawl
 // contains heavy duplication; a low rate keeps generation cheap).

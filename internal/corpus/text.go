@@ -149,8 +149,3 @@ std::vector<int> %s(const std::vector<int>& %s) {
 `, fn, a, b, a, n, b, b)
 	}
 }
-
-// RandomCode generates a snippet in a random language.
-func RandomCode(r *rand.Rand) string {
-	return Code(r, Language(r.Intn(6)))
-}

@@ -8,9 +8,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -447,79 +445,4 @@ func (s *Suite) Throughput() (ThroughputResult, error) {
 		res.Ratio = res.SmallTokensPerSec / res.LargeTokensPerSec
 	}
 	return res, nil
-}
-
-// ---- decode engine (serving section) ----
-
-// DecodeEngineRow reports the emitted-token throughput of one decode path
-// on the benchmark model (the small Throughput configuration).
-type DecodeEngineRow struct {
-	Path         string
-	TokensPerSec float64
-}
-
-// DecodeEngine measures every decode path of the engine on one model:
-// the full-forward loop, the KV-cached loop, cached beam search, and eight
-// sequences submitted together to a continuous-batching Engine. Beam
-// reports emitted tokens/second (it does width× the internal work per
-// emitted token); the engine row reports the aggregate across its
-// sequences, which is the serving-relevant rate.
-func (s *Suite) DecodeEngine() ([]DecodeEngineRow, error) {
-	defer s.Trace.Start("decode_engine").End()
-	m, err := neural.NewModel(neural.Config{Vocab: 512, Ctx: 64, Dim: 96, Heads: 4, Layers: 4, Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	prefix := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	const maxNew = 48
-	rate := func(tokens int, elapsed time.Duration) float64 {
-		if sec := elapsed.Seconds(); sec > 0 {
-			return float64(tokens) / sec
-		}
-		return 0
-	}
-	var rows []DecodeEngineRow
-	add := func(path string, f func() int) {
-		start := time.Now()
-		tokens := f()
-		rows = append(rows, DecodeEngineRow{Path: path, TokensPerSec: rate(tokens, time.Since(start))})
-	}
-	add("generate full-forward", func() int {
-		return len(m.Generate(prefix, maxNew, neural.GenOptions{StopToken: -1}))
-	})
-	add("generate kv-cached", func() int {
-		return len(m.GenerateCached(prefix, maxNew, neural.GenOptions{StopToken: -1}))
-	})
-	add("beam w=4 kv-cached", func() int {
-		return len(m.GenerateBeam(prefix, maxNew, neural.BeamOptions{Width: 4, StopToken: -1}))
-	})
-	add("engine x8 kv-cached", func() int {
-		e := m.NewEngine(neural.EngineConfig{MaxBatch: 8})
-		tickets := make([]*neural.Ticket, 8)
-		for i := range tickets {
-			p := append(append([]int(nil), prefix...), i+1)
-			if tickets[i], err = e.Submit(context.Background(), p, maxNew, neural.GenOptions{StopToken: -1}); err != nil {
-				break
-			}
-		}
-		total := 0
-		for _, tk := range tickets {
-			if tk != nil {
-				total += len(tk.Wait())
-			}
-		}
-		if cerr := e.Close(context.Background()); err == nil {
-			err = cerr
-		}
-		return total
-	})
-	return rows, err
-}
-
-// SortRowsByBLEU returns a copy of rows sorted by descending BLEU, a helper
-// for shape assertions.
-func SortRowsByBLEU(rows []Row) []Row {
-	out := append([]Row(nil), rows...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Report.BLEU > out[j].Report.BLEU })
-	return out
 }

@@ -65,36 +65,3 @@ func BenchmarkStepBatch8(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*B)/b.Elapsed().Seconds(), "tok/s")
 }
-
-const (
-	benchBeamWidth  = 4
-	benchBeamMaxNew = 24
-)
-
-var benchBeamPrefix = []int{1, 2, 3, 4, 5, 6, 7, 8}
-
-// BenchmarkBeamDecode measures the KV-cached beam decoder at width 4.
-func BenchmarkBeamDecode(b *testing.B) {
-	m := benchModel(b)
-	opts := BeamOptions{Width: benchBeamWidth, StopToken: -1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.beamCached(benchBeamPrefix, benchBeamMaxNew, opts)
-	}
-	b.ReportMetric(float64(b.N*benchBeamMaxNew)/b.Elapsed().Seconds(), "tok/s")
-}
-
-// BenchmarkBeamDecodeUncached measures the pre-engine reference beam (full
-// forward per beam per step) on the same request, the baseline for the
-// cached decoder's speedup.
-func BenchmarkBeamDecodeUncached(b *testing.B) {
-	m := benchModel(b)
-	opts := BeamOptions{Width: benchBeamWidth, StopToken: -1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.beamFullForward(benchBeamPrefix, benchBeamMaxNew, opts)
-	}
-	b.ReportMetric(float64(b.N*benchBeamMaxNew)/b.Elapsed().Seconds(), "tok/s")
-}

@@ -404,8 +404,8 @@ func (e *Engine) admit(active []*engineRow, free *[]*genState) []*engineRow {
 		}
 		row := &engineRow{decodeRow: newDecodeRow(job.prefix, job.maxNew, job.opts), job: job, start: now}
 		if !row.proceed(nil) {
-			close(job.done)
 			e.retired.Add(1)
+			close(job.done)
 			continue
 		}
 		if k := len(*free); k > 0 {
@@ -419,11 +419,12 @@ func (e *Engine) admit(active []*engineRow, free *[]*genState) []*engineRow {
 	return active
 }
 
-// retire publishes a finished row's output, releases its waiter, and
-// recycles its decode state.
+// retire publishes a finished row's output, recycles its decode state and
+// releases its waiter — last, so a caller returning from Wait reads Stats
+// that already count the row retired and its slot free.
 func (e *Engine) retire(row *engineRow, free *[]*genState) {
 	row.job.out = row.out
-	close(row.job.done)
+	e.active.Add(-1)
 	e.retired.Add(1)
 	if e.m.obs != nil {
 		e.m.obs.recordGeneration(len(row.out), time.Since(row.start))
@@ -431,4 +432,5 @@ func (e *Engine) retire(row *engineRow, free *[]*genState) {
 	row.st.reset()
 	*free = append(*free, row.st)
 	row.st = nil
+	close(row.job.done)
 }

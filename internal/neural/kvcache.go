@@ -20,11 +20,10 @@ type genState struct {
 	// length pos*Dim with capacity Ctx*Dim.
 	k, v [][]float64
 	pos  int
-	// scratch is the per-token working memory, shared by every state forked
-	// from the same generation (decoding within one generation is serial).
+	// scratch is the per-token working memory of the single-row step.
 	scratch *decodeScratch
-	// logits is the output buffer step fills; each state owns one so beam
-	// search can hold several beams' distributions at once.
+	// logits is the output buffer step fills; each state owns one so the
+	// engine's step batch can hold every row's distribution at once.
 	logits []float64
 }
 
@@ -44,7 +43,7 @@ func (m *Model) newGenState() *genState {
 }
 
 // reset empties the caches so the state can be re-primed (the windowed
-// decode path) or reused from a freelist (beam search). The backing arrays
+// decode path) or reused from the engine's freelist. The backing arrays
 // and scratch are kept.
 func (s *genState) reset() {
 	for l := range s.k {
@@ -52,28 +51,6 @@ func (s *genState) reset() {
 		s.v[l] = s.v[l][:0]
 	}
 	s.pos = 0
-}
-
-// fork returns an independent copy of the state: the caches are copied into
-// freshly allocated full-capacity buffers, the scratch arena is shared
-// (decoding within one generation is single-threaded), and the logits
-// buffer is fresh. Beam search prefers copyFrom onto recycled states; fork
-// is the allocation path when the freelist is empty.
-func (s *genState) fork() *genState {
-	c := s.m.newGenState()
-	c.scratch = s.scratch
-	c.copyFrom(s)
-	return c
-}
-
-// copyFrom overwrites s with src's cache contents and position. Both states
-// must belong to the same model.
-func (s *genState) copyFrom(src *genState) {
-	for l := range s.k {
-		s.k[l] = append(s.k[l][:0], src.k[l]...)
-		s.v[l] = append(s.v[l][:0], src.v[l]...)
-	}
-	s.pos = src.pos
 }
 
 // step feeds one token through the model, appending to the caches, and
@@ -163,14 +140,16 @@ func projectLogits(logits, hf, emb []float64, d int) {
 }
 
 // GenerateCached extends prefix by up to maxNew tokens using the KV cache:
-// each token costs O(sequence) instead of O(sequence^2). When prefix+maxNew
-// fits the context window the outputs are identical to Generate. Longer
-// requests decode through a hopped sliding window: whenever the cache
-// fills, it is re-primed over the most recent Ctx - Ctx/4 tokens and
-// decoding continues incrementally. Inside the overflow regime each token
-// therefore conditions on at least 3/4 of the context window (Generate's
+// each token costs O(sequence) instead of O(sequence^2). It is the package's
+// one-shot decode call; Engine and SessionCache drive the same decodeRow.
+// When prefix+maxNew fits the context window the outputs are identical to
+// re-running the full forward pass per token (the tests' full-forward
+// oracle). Longer requests decode through a hopped sliding window: whenever
+// the cache fills, it is re-primed over the most recent Ctx - Ctx/4 tokens
+// and decoding continues incrementally. Inside the overflow regime each
+// token therefore conditions on at least 3/4 of the context window (an
 // exact sliding window always uses the full Ctx), which keeps the cost
-// linear per token where the old fallback re-ran a quadratic full forward.
+// linear per token where a full forward per token would be quadratic.
 func (m *Model) GenerateCached(prefix []int, maxNew int, opts GenOptions) []int {
 	if len(prefix) == 0 {
 		return nil

@@ -143,15 +143,6 @@ func TestGenerateCachedStops(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateFullForward(b *testing.B) {
-	m, _ := NewModel(Config{Vocab: 256, Ctx: 128, Dim: 64, Heads: 4, Layers: 2, Seed: 1})
-	prefix := []int{1, 2, 3, 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Generate(prefix, 64, GenOptions{StopToken: -1})
-	}
-}
-
 func BenchmarkGenerateKVCached(b *testing.B) {
 	m, _ := NewModel(Config{Vocab: 256, Ctx: 128, Dim: 64, Heads: 4, Layers: 2, Seed: 1})
 	prefix := []int{1, 2, 3, 4}

@@ -51,7 +51,7 @@ type block struct {
 
 // Model is a decoder-only transformer language model with tied input/output
 // embeddings. Train mutates the parameters; after training, every decode
-// path (Generate, GenerateCached, GenerateBeam, Loss) reads frozen weights
+// path (GenerateCached, Engine, SessionCache, Loss) reads frozen weights
 // and allocates its own working state per call, so a trained model is safe
 // for concurrent use (see TestConcurrentDecodePathsMatchSerial).
 type Model struct {

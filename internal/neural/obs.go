@@ -26,9 +26,9 @@ type Instrumentation struct {
 	// TrainTokensPerSec is the throughput of the most recent batch.
 	TrainTokens       *observe.Counter
 	TrainTokensPerSec *observe.Gauge
-	// GenDuration times one Generate/GenerateCached/GenerateBeam call;
-	// GenTokens counts emitted tokens; GenTokensPerSec is the rate of the
-	// most recent call.
+	// GenDuration times one decode (a GenerateCached call, an engine row or
+	// a session generation); GenTokens counts emitted tokens;
+	// GenTokensPerSec is the rate of the most recent call.
 	GenDuration     *observe.Histogram
 	GenTokens       *observe.Counter
 	GenTokensPerSec *observe.Gauge

@@ -109,14 +109,6 @@ func (a *Adam) Step(lr float64) {
 // Schedule maps a training step in [0, total) to a learning-rate multiplier.
 type Schedule func(step, total int) float64
 
-// LinearDecay decreases linearly from 1 to 0, the pre-training schedule.
-func LinearDecay(step, total int) float64 {
-	if total <= 1 {
-		return 1
-	}
-	return 1 - float64(step)/float64(total)
-}
-
 // CosineDecay decreases with a half cosine from 1 to 0, the fine-tuning
 // schedule.
 func CosineDecay(step, total int) float64 {

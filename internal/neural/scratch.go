@@ -8,9 +8,7 @@ import "math"
 // step allocated fresh x/q/att/score/hidden/logit slices for every token —
 // about a dozen garbage objects per token per layer — which dominated the
 // allocator profile of the serving path. A scratch is owned by one
-// generation and must not be shared across goroutines; beam search shares
-// one arena across all of its forked states because a beam decodes
-// single-threaded.
+// generation and must not be shared across goroutines.
 type decodeScratch struct {
 	x   []float64 // Dim: residual stream of the current token
 	a   []float64 // Dim: layernorm output feeding q/k/v

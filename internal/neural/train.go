@@ -264,45 +264,6 @@ func (o *GenOptions) cancelled() bool {
 	}
 }
 
-// Generate extends prefix by up to maxNew tokens and returns the new tokens.
-// The context window slides when the sequence exceeds the configured length
-// (left truncation, as the paper describes for over-long inputs).
-func (m *Model) Generate(prefix []int, maxNew int, opts GenOptions) []int {
-	var start time.Time
-	if m.obs != nil {
-		start = time.Now()
-	}
-	seq := append([]int(nil), prefix...)
-	var out []int
-	for len(out) < maxNew && !opts.cancelled() {
-		window := seq
-		if len(window) > m.cfg.Ctx {
-			window = window[len(window)-m.cfg.Ctx:]
-		}
-		if len(window) == 0 {
-			break
-		}
-		tr := m.forward(window)
-		logits := m.logitsAt(tr, len(window)-1)
-		tok := pickToken(logits, opts)
-		out = append(out, tok)
-		seq = append(seq, tok)
-		if opts.OnToken != nil {
-			opts.OnToken(tok)
-		}
-		if opts.StopToken > 0 && tok == opts.StopToken {
-			break
-		}
-		if opts.Stop != nil && opts.Stop(out) {
-			break
-		}
-	}
-	if m.obs != nil {
-		m.obs.recordGeneration(len(out), time.Since(start))
-	}
-	return out
-}
-
 // pickToken chooses the next token from logits.
 func pickToken(logits []float64, opts GenOptions) int {
 	if opts.Rand == nil || opts.Temperature <= 0 {

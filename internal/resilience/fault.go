@@ -147,6 +147,9 @@ type faultConn struct {
 	writing      bool // inside a write burst (fault already drawn)
 	pending      Fault
 	readDeadline time.Time
+	// deadlineSet, while a read hangs, is closed by the next deadline change
+	// so the hung read re-arms against the new deadline.
+	deadlineSet chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -190,26 +193,49 @@ func (fc *faultConn) Read(b []byte) (int, error) {
 	fc.mu.Lock()
 	fc.writing = false
 	f := fc.pending
-	deadline := fc.readDeadline
 	fc.mu.Unlock()
 
 	if f == FaultHang {
-		// The response never arrives: block until the connection is closed
-		// or the client's read deadline gives up on it.
-		var expire <-chan time.Time
-		if !deadline.IsZero() {
-			t := time.NewTimer(time.Until(deadline))
-			defer t.Stop()
-			expire = t.C
-		}
-		select {
-		case <-fc.closed:
-			return 0, net.ErrClosed
-		case <-expire:
-			return 0, os.ErrDeadlineExceeded
-		}
+		return 0, fc.hang()
 	}
 	return fc.Conn.Read(b)
+}
+
+// hang blocks a read whose response never arrives until the connection is
+// closed or the read deadline passes. As on a real net.Conn, a deadline set
+// from another goroutine while the read hangs applies to it: the wait
+// re-arms against the new deadline (a past one fails the read at once).
+func (fc *faultConn) hang() error {
+	for {
+		fc.mu.Lock()
+		deadline := fc.readDeadline
+		if fc.deadlineSet == nil {
+			fc.deadlineSet = make(chan struct{})
+		}
+		moved := fc.deadlineSet
+		fc.mu.Unlock()
+
+		var expire <-chan time.Time
+		var timer *time.Timer
+		if !deadline.IsZero() {
+			timer = time.NewTimer(time.Until(deadline))
+			expire = timer.C
+		}
+		var err error
+		select {
+		case <-fc.closed:
+			err = net.ErrClosed
+		case <-expire:
+			err = os.ErrDeadlineExceeded
+		case <-moved:
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func (fc *faultConn) setPending(f Fault) {
@@ -221,19 +247,26 @@ func (fc *faultConn) setPending(f Fault) {
 // SetDeadline records the read half for hang emulation and forwards to the
 // wrapped connection.
 func (fc *faultConn) SetDeadline(t time.Time) error {
-	fc.mu.Lock()
-	fc.readDeadline = t
-	fc.mu.Unlock()
+	fc.setReadDeadline(t)
 	return fc.Conn.SetDeadline(t)
 }
 
 // SetReadDeadline records the deadline for hang emulation and forwards to
 // the wrapped connection.
 func (fc *faultConn) SetReadDeadline(t time.Time) error {
+	fc.setReadDeadline(t)
+	return fc.Conn.SetReadDeadline(t)
+}
+
+// setReadDeadline records t and wakes a hung read to re-arm against it.
+func (fc *faultConn) setReadDeadline(t time.Time) {
 	fc.mu.Lock()
 	fc.readDeadline = t
+	if fc.deadlineSet != nil {
+		close(fc.deadlineSet)
+		fc.deadlineSet = nil
+	}
 	fc.mu.Unlock()
-	return fc.Conn.SetReadDeadline(t)
 }
 
 // Close releases any hung reads and closes the wrapped connection exactly

@@ -126,9 +126,10 @@ func TestScriptHangHonorsReadDeadline(t *testing.T) {
 	}
 }
 
-func TestScriptHangReleasedByClose(t *testing.T) {
-	in := NewScript(FaultHang)
-	c := echoPair(t, in)
+// hungRead starts a read on a connection whose exchange drew FaultHang and
+// returns the connection and the read's result.
+func hungRead(t *testing.T) (net.Conn, <-chan error) {
+	c := echoPair(t, NewScript(FaultHang))
 	if _, err := c.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,27 @@ func TestScriptHangReleasedByClose(t *testing.T) {
 		_, err := c.Read(make([]byte, 1))
 		errc <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	time.Sleep(5 * time.Millisecond) // let the read start hanging
+	return c, errc
+}
+
+// TestScriptHangWokenByLaterDeadline sets a past deadline while a read
+// hangs with none: as on a real net.Conn, the read fails at once.
+func TestScriptHangWokenByLaterDeadline(t *testing.T) {
+	c, errc := hungRead(t)
+	c.SetReadDeadline(time.Now())
+	select {
+	case err := <-errc:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("hung Read after a past deadline = %v, want deadline exceeded", err)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("a deadline set during a hung read did not wake it")
+	}
+}
+
+func TestScriptHangReleasedByClose(t *testing.T) {
+	c, errc := hungRead(t)
 	c.Close()
 	select {
 	case err := <-errc:

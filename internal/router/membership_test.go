@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -232,6 +233,54 @@ func TestMembershipRemoveWaitsForInflight(t *testing.T) {
 	}
 	if rt.backendFor(victim.addr) != nil {
 		t.Fatal("removed backend still in the backend table")
+	}
+}
+
+// TestRouteSeesJoinDuringForward pins the ring walk against a stale
+// candidate list: while a request is parked on its owner, the only other
+// candidate is removed and a new replica joins; then the owner's connection
+// dies. Every address in the request's list is now dead or removed, but a
+// healthy member exists, so the walk must pick up the joiner and succeed.
+func TestRouteSeesJoinDuringForward(t *testing.T) {
+	var owner string
+	conns := make(chan net.Conn, 4)
+	rt, reps := startFleet(t, 2, Options{Wrap: func(addr string, c net.Conn) net.Conn {
+		if addr == owner {
+			conns <- c
+		}
+		return c
+	}})
+	victim := replicaOwning(t, rt, reps, "block")
+	owner = victim.addr
+	done := make(chan serve.Response, 1)
+	go func() {
+		resp, err := rt.PredictRoute(context.Background(), serve.Request{Prompt: "block"})
+		if err != nil {
+			t.Errorf("request failed with a healthy joiner in the ring: %v", err)
+		}
+		done <- resp
+	}()
+	victim.model.awaitBlocked(t)
+
+	for _, r := range reps {
+		if r != victim {
+			if err := rt.Remove(context.Background(), r.addr); err != nil {
+				t.Fatalf("Remove: %v", err)
+			}
+		}
+	}
+	joiner := startReplica(t, "joiner", "", serve.Options{})
+	joiner.model.unblock() // the joiner answers "block" at once
+	if err := rt.Join(context.Background(), joiner.addr); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	(<-conns).Close() // the owner's forward fails with a transport error
+
+	if resp, want := <-done, joiner.model.answer("block"); resp.Suggestion != want {
+		t.Errorf("answer %q, want the joiner's %q", resp.Suggestion, want)
+	}
+	if got := rt.Spillovers(); got != 1 {
+		t.Errorf("Spillovers() = %d, want 1", got)
 	}
 }
 

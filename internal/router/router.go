@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,7 +64,9 @@ type Options struct {
 	DeadAfter int
 	// MaxSpill caps how many backends one request may try: the ring owner
 	// plus up to MaxSpill-1 successors. Zero means no cap (try every live
-	// node); negative disables spillover entirely (owner only).
+	// node); negative disables spillover entirely (owner only). The cap
+	// applies per candidate list: a request whose walk outlives a membership
+	// change also tries the untried members of the current list.
 	MaxSpill int
 	// ForwardTimeout bounds each forwarded round trip (default
 	// DefaultForwardTimeout); for streams it bounds each frame gap.
@@ -297,13 +300,30 @@ func (r *Router) PredictStreamRoute(ctx context.Context, req serve.Request, emit
 // Each candidate in ring order from the owner is skipped while its breaker
 // is open, else forwarded to with the session stamp its ownership calls
 // for; the first answer settles the session and is counted as a spillover
-// when it did not come from the owner.
+// when it did not come from the owner. The candidate list is taken once,
+// but a forward can outlast a membership change (a hung owner holds the
+// request for its whole deadline), so a walk that runs out of candidates
+// after the ring's epoch moved appends the current candidates it has not
+// tried yet — a replica that joined meanwhile is tried, and no address is
+// tried twice.
 func (r *Router) route(ctx context.Context, req serve.Request, emit func(delta string)) (serve.Response, error) {
 	req.Op = ""     // the forwarding call picks the op, whatever came in
 	req.Admin = nil // admin requests are handled by the router, never forwarded
 	key := affinityKey(req)
+	epoch := r.ring.Epoch() // before the list, so a change in between shows
+	cands := r.candidates(key)
 	var lastErr error
-	for i, addr := range r.candidates(key) {
+	for i := 0; ; i++ {
+		if i == len(cands) {
+			if now := r.ring.Epoch(); now != epoch {
+				epoch = now
+				cands = appendUntried(cands, r.candidates(key))
+			}
+			if i == len(cands) {
+				break
+			}
+		}
+		addr := cands[i]
 		if err := ctx.Err(); err != nil {
 			return serve.Response{}, err
 		}
@@ -335,6 +355,16 @@ func (r *Router) route(ctx context.Context, req serve.Request, emit func(delta s
 		lastErr = ErrNoBackend
 	}
 	return serve.Response{}, lastErr
+}
+
+// appendUntried appends to tried every address of fresh it does not hold.
+func appendUntried(tried, fresh []string) []string {
+	for _, addr := range fresh {
+		if !slices.Contains(tried, addr) {
+			tried = append(tried, addr)
+		}
+	}
+	return tried
 }
 
 // stampSession prepares req for forwarding to addr: when the request is

@@ -141,11 +141,6 @@ func (rc *RetryClient) PredictStream(req Request, emit func(delta string)) (Resp
 	return rc.predict(context.Background(), req, emit)
 }
 
-// PredictStreamContext is PredictStream bounded by ctx.
-func (rc *RetryClient) PredictStreamContext(ctx context.Context, req Request, emit func(delta string)) (Response, error) {
-	return rc.predict(ctx, req, emit)
-}
-
 // predict runs one prediction — unary when emit is nil, streamed otherwise
 // — through the retrier. Each attempt is gated by the breaker and feeds it
 // its outcome, runs over the current (or a fresh) connection, and discards

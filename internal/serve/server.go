@@ -990,11 +990,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// ListenHTTP serves the REST API on addr until the listener fails.
-func (s *Server) ListenHTTP(addr string) error {
-	return http.ListenAndServe(addr, s.Handler())
-}
-
 // ---- binary RPC (the GRPC stand-in) ----
 
 // The wire protocol is length-prefixed JSON frames over TCP: a 4-byte

@@ -26,10 +26,6 @@ func (g *NeuralLM) EnableSessions(cfg neural.SessionCacheConfig) {
 	g.sessions = g.Model.NewSessionCache(cfg)
 }
 
-// Sessions returns the session cache attached by EnableSessions (nil when
-// sessions are disabled).
-func (g *NeuralLM) Sessions() *neural.SessionCache { return g.sessions }
-
 // CompleteSession implements SessionGenerator. Without an attached session
 // cache (or with an empty id) it decodes exactly like CompleteStream.
 func (g *NeuralLM) CompleteSession(sessionID string, cancel <-chan struct{}, prefix, _ []int, maxNew int,

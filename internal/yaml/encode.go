@@ -164,6 +164,11 @@ func encodeKey(k *Node) string {
 	if k == nil || k.Kind != ScalarNode {
 		return encodeQuoted(fmt.Sprintf("%v", k))
 	}
+	// The parser reads a quote anywhere in a key line as opening a quoted
+	// span, so a plain key holding one would not parse back as a key.
+	if strings.ContainsAny(k.Value, `'"`) {
+		return encodeQuoted(k.Value)
+	}
 	return encodeScalar(k, 0)
 }
 
