@@ -114,16 +114,25 @@ func writeItem(sb *strings.Builder, item *Node, indent int) {
 }
 
 // writeBlockScalar emits a multi-line scalar in literal (|) form, choosing
-// the chomping indicator that round-trips the exact value. Values without any
-// newline fall back to a quoted scalar.
+// the chomping indicator that round-trips the exact value. Values a literal
+// block cannot hold exactly fall back to a quoted scalar: those without any
+// newline or content, those with a carriage return or a line of only white
+// space (the parser reads such a line as empty), and those whose first line
+// starts with a space (its spaces would be read as indentation).
 func writeBlockScalar(sb *strings.Builder, n *Node, indent int) {
 	text := n.Value
-	if !strings.Contains(text, "\n") {
+	body := strings.TrimRight(text, "\n")
+	lines := strings.Split(body, "\n")
+	quote := !strings.Contains(text, "\n") || body == "" || strings.ContainsRune(body, '\r') ||
+		strings.TrimLeft(body, "\n")[0] == ' '
+	for _, l := range lines {
+		quote = quote || l != "" && strings.TrimSpace(l) == ""
+	}
+	if quote {
 		sb.WriteString(encodeQuoted(text))
 		sb.WriteByte('\n')
 		return
 	}
-	body := strings.TrimRight(text, "\n")
 	trailing := len(text) - len(body) // newlines after the last content line
 	var chomp string
 	switch trailing {
@@ -135,7 +144,7 @@ func writeBlockScalar(sb *strings.Builder, n *Node, indent int) {
 		chomp = "+"
 	}
 	sb.WriteString("|" + chomp + "\n")
-	for _, l := range strings.Split(body, "\n") {
+	for _, l := range lines {
 		if l == "" {
 			sb.WriteByte('\n')
 			continue
@@ -163,11 +172,6 @@ func isBlockText(n *Node) bool {
 func encodeKey(k *Node) string {
 	if k == nil || k.Kind != ScalarNode {
 		return encodeQuoted(fmt.Sprintf("%v", k))
-	}
-	// The parser reads a quote anywhere in a key line as opening a quoted
-	// span, so a plain key holding one would not parse back as a key.
-	if strings.ContainsAny(k.Value, `'"`) {
-		return encodeQuoted(k.Value)
 	}
 	return encodeScalar(k, 0)
 }
@@ -218,7 +222,8 @@ func needsQuoting(v string) bool {
 	if strings.TrimSpace(v) != v || strings.HasSuffix(v, ":") {
 		return true
 	}
-	if strings.Contains(v, ": ") || strings.Contains(v, " #") {
+	// A root "..." would read back as the document-end marker.
+	if v == "..." || strings.Contains(v, ": ") || strings.Contains(v, " #") {
 		return true
 	}
 	for i := 0; i < len(v); i++ {

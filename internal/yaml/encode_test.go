@@ -210,3 +210,24 @@ func TestFromGoToGo(t *testing.T) {
 		t.Errorf("round trip = %#v", m)
 	}
 }
+
+// TestMarshalLeadingSpaceBlock pins that a multi-line value whose first line
+// starts with a space is quoted, not written as a literal block: a block
+// would need an indentation indicator, and YAML counts a sequence item's
+// indicator from the dash, which this package's parser does not.
+func TestMarshalLeadingSpaceBlock(t *testing.T) {
+	v := "  x\ny\n"
+	n := Mapping().Set("k", ScalarTyped(v, StrTag, Plain)).
+		Set("l", &Node{Kind: SequenceNode, Items: []*Node{ScalarTyped(v, StrTag, Literal)}})
+	out := Marshal(n)
+	if want := "k: \"  x\\ny\\n\"\nl:\n  - \"  x\\ny\\n\"\n"; out != want {
+		t.Errorf("Marshal = %q, want %q", out, want)
+	}
+	back, err := Parse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Get("k").Value != v || back.Get("l").Items[0].Value != v {
+		t.Errorf("round trip = %q, %q", back.Get("k").Value, back.Get("l").Items[0].Value)
+	}
+}

@@ -206,15 +206,19 @@ func TestEncodeQuotedControlChars(t *testing.T) {
 	}
 }
 
-func TestBracketDepthQuotes(t *testing.T) {
-	if bracketDepth(`{a: "}未closed"`) != 1 {
-		t.Error("quoted brace counted")
-	}
-	if bracketDepth(`[1, 2]`) != 0 {
-		t.Error("balanced text nonzero")
-	}
-	if bracketDepth(`{'}': [`) != 2 {
-		t.Error("single-quoted brace counted")
+func TestScanLineFlowDepthQuotes(t *testing.T) {
+	for text, want := range map[string]int{
+		`{a: "}未closed"`: 1, // quoted brace not counted
+		`[1, 2]`:         0,
+		`{'}': [`:        2, // single-quoted brace not counted
+		`[it's, b]`:      0, // mid-scalar quote opens nothing
+		`[a, 'b, # c'`:   1, // '#' inside quotes is no comment
+		`[a, # ]`:        1, // '#' after a space is a comment
+		`{"a":"]",`:      1, // JSON-style value after a quoted key
+	} {
+		if got := scanLine(text, 0, 0).depth; got != want {
+			t.Errorf("scanLine(%q).depth = %d, want %d", text, got, want)
+		}
 	}
 }
 

@@ -1,15 +1,15 @@
 package yaml
 
 import (
-	"strings"
 	"testing"
 	"unicode/utf8"
 )
 
 // FuzzParseYAML drives the parser with arbitrary input: it must never
-// panic, and any document it accepts must survive an encode/re-parse round
-// trip — the serving layer marshals parsed suggestions back to text, so an
-// accepted-but-unencodable node would corrupt output downstream.
+// panic, and any document it accepts must come back as the same tree after
+// an encode/re-parse round trip — the serving layer marshals parsed
+// suggestions back to text, so a node that encodes to a different value
+// would corrupt output downstream.
 func FuzzParseYAML(f *testing.F) {
 	f.Add("- name: install nginx\n  ansible.builtin.apt:\n    name: nginx\n    state: present\n")
 	f.Add("key: value\nlist:\n  - 1\n  - 2\n")
@@ -21,6 +21,7 @@ func FuzzParseYAML(f *testing.F) {
 	f.Add("\t tab indent\n")
 	f.Add("a: 'unclosed\n")
 	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = ParseAll(src) // multi-document path must not panic either
 		n, err := Parse(src)
 		if err != nil || n == nil {
 			return
@@ -31,10 +32,12 @@ func FuzzParseYAML(f *testing.F) {
 			// input; raw bytes may be quoted lossily.
 			return
 		}
-		if _, err := Parse(out); err != nil {
+		back, err := Parse(out)
+		if err != nil {
 			t.Fatalf("re-parse of encoded output failed: %v\ninput: %q\nencoded: %q", err, src, out)
 		}
-		_, _ = ParseAll(src) // multi-document path must not panic either
-		_ = strings.TrimSpace(out)
+		if !n.Equal(back) {
+			t.Fatalf("round trip changed the tree\ninput: %q\nencoded: %q", src, out)
+		}
 	})
 }

@@ -180,22 +180,6 @@ func (n *Node) Get(key string) *Node {
 // Has reports whether a mapping node contains key.
 func (n *Node) Has(key string) bool { return n.Get(key) != nil }
 
-// Delete removes the entry for key from a mapping node and reports whether an
-// entry was removed.
-func (n *Node) Delete(key string) bool {
-	if n == nil || n.Kind != MappingNode {
-		return false
-	}
-	for i, k := range n.Keys {
-		if k.Kind == ScalarNode && k.Value == key {
-			n.Keys = append(n.Keys[:i], n.Keys[i+1:]...)
-			n.Values = append(n.Values[:i], n.Values[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of entries (mapping), items (sequence) or bytes
 // (scalar value) of the node.
 func (n *Node) Len() int {

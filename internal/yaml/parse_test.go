@@ -1,9 +1,12 @@
 package yaml
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, src string) *Node {
@@ -361,16 +364,133 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseErrorPosition(t *testing.T) {
-	_, err := Parse("ok: 1\nbad: 'x\n")
-	se, ok := err.(*SyntaxError)
-	if !ok {
-		t.Fatalf("err = %T %v", err, err)
+	tests := []struct {
+		src       string
+		line, col int
+	}{
+		{"ok: 1\nbad: 'x\n", 2, 6},               // scalar: the open quote
+		{"a:\n  b: 1\n    c: 2\n", 3, 5},         // block: the over-indented line
+		{"a: [1, 2}\n", 1, 9},                    // flow: the stray brace
+		{"a: {b: 1, [c]: 2}\n", 1, 11},           // flow: a collection as key
+		{"- x\n- {k: it's, k: 2}\n", 2, 13},      // flow: the duplicate key
+		{"a: 1\n---\nb: 2\n", 3, 1},              // the second document
+		{"a: [1,\n  2\n", 1, 4},                  // unterminated: where it opened
+		{"- name: x\n  shell: 'a' b\n", 2, 14},   // junk after a quoted scalar
+		{"- name: x\n  shell: \"\\q\"\n", 2, 10}, // bad escape
+		{"a: *nope\n", 1, 4},                     // unknown alias
 	}
-	if se.Line != 2 {
-		t.Errorf("line = %d, want 2", se.Line)
+	for _, tt := range tests {
+		_, err := Parse(tt.src)
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Errorf("Parse(%q) err = %T %v, want *SyntaxError", tt.src, err, err)
+			continue
+		}
+		if se.Line != tt.line || se.Col != tt.col {
+			t.Errorf("Parse(%q) at %d:%d, want %d:%d (%v)", tt.src, se.Line, se.Col, tt.line, tt.col, se)
+		}
+		if want := fmt.Sprintf("line %d, column %d:", tt.line, tt.col); !strings.Contains(se.Error(), want) {
+			t.Errorf("message %q lacks %q", se.Error(), want)
+		}
 	}
-	if !strings.Contains(se.Error(), "line 2") {
-		t.Errorf("message %q lacks position", se.Error())
+}
+
+// TestParseScannerCases pins what the one line scanner decides: a quote opens
+// a quoted scalar only where a scalar starts, '#' opens a comment only after
+// white space and outside quotes, and block scalars chomp the same at the
+// end of the document as before another key.
+func TestParseScannerCases(t *testing.T) {
+	tests := []struct {
+		src  string
+		want any
+	}{
+		// Apostrophes and a '"' inside plain keys and values.
+		{"it's: fine\n", map[string]any{"it's": "fine"}},
+		{"msg: it's done # note\n", map[string]any{"msg": "it's done"}},
+		{"- name: don't restart\n  debug: {msg: it's}\n", []any{map[string]any{"name": "don't restart", "debug": map[string]any{"msg": "it's"}}}},
+		{"a\"b: 1\nc: 2\n", map[string]any{`a"b`: int64(1), "c": int64(2)}},
+		{"say: 6\" pipe\n", map[string]any{"say": `6" pipe`}},
+		{"a: [it's, b]\n", map[string]any{"a": []any{"it's", "b"}}},
+		{"a: [it's,\n  b]\n", map[string]any{"a": []any{"it's", "b"}}},
+		// A quoted scalar that continues a flow collection's line.
+		{"a: ['x,\n  y # z']\n", map[string]any{"a": []any{"x, y # z"}}},
+		{"a: ['x,\n  [y']\nb: 1\n", map[string]any{"a": []any{"x, [y"}, "b": int64(1)}},
+		{"a: [\"x,\n  ]\"]\n", map[string]any{"a": []any{"x, ]"}}},
+		// '#' inside and after quotes, and without white space before it.
+		{"k: 'a # b' # c\n", map[string]any{"k": "a # b"}},
+		{"k: \"a # b\" # c\n", map[string]any{"k": "a # b"}},
+		{"k: it's # c\n", map[string]any{"k": "it's"}},
+		{"k: x#y\n", map[string]any{"k": "x#y"}},
+		{"k: 'it''s' # c\n", map[string]any{"k": "it's"}},
+		{"k: \"say \\\"hi\\\"\" # c\n", map[string]any{"k": `say "hi"`}},
+		{"k: [a, 'b # c', d] # e\n", map[string]any{"k": []any{"a", "b # c", "d"}}},
+		{"k: [a, # c\n  b]\n", map[string]any{"k": []any{"a", "b"}}},
+		{"k: #c\n", map[string]any{"k": nil}},
+		{"'k: v': 1\n", map[string]any{"k: v": int64(1)}},
+		{"k: &x 'a # b'\nj: *x\n", map[string]any{"k": "a # b", "j": "a # b"}},
+		// Chomping at the end of the document and before another key.
+		{"a: |\n  x\n", map[string]any{"a": "x\n"}},
+		{"a: |-\n  x\n", map[string]any{"a": "x"}},
+		{"a: |+\n  x\n", map[string]any{"a": "x\n"}},
+		{"a: |+\n  x\n\n", map[string]any{"a": "x\n\n"}},
+		{"a: |\n  x\n\nb: 1\n", map[string]any{"a": "x\n", "b": int64(1)}},
+		{"a: |-\n  x\n\nb: 1\n", map[string]any{"a": "x", "b": int64(1)}},
+		{"a: |+\n  x\n\nb: 1\n", map[string]any{"a": "x\n\n", "b": int64(1)}},
+		{"a: |+ # keep\n  x\n", map[string]any{"a": "x\n"}},
+	}
+	for _, tt := range tests {
+		n, err := Parse(tt.src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tt.src, err)
+			continue
+		}
+		if got := ToGo(n); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", tt.src, got, tt.want)
+		}
+	}
+	for _, src := range []string{"{[a]: 1}\n", "{{a: b}: c}\n", "[a]: 1\n", "k: 'it''\n"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestParseAllocs guards the parser's cost on Predict's schema-check path:
+// the line scanner allocates nothing, and a typical task stays within the
+// allocations it took before the scanner replaced three quote scans.
+func TestParseAllocs(t *testing.T) {
+	task := "- name: install nginx\n  ansible.builtin.apt:\n    name: nginx\n    state: present\n  when: ansible_os_family == 'Debian' # only debian\n"
+	line := "when: ansible_os_family == 'Debian' # only debian"
+	if n := testing.AllocsPerRun(100, func() { scanLine(line, 0, 0) }); n != 0 {
+		t.Errorf("scanLine allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(task) }); n > 42 {
+		t.Errorf("Parse allocates %v times per task, want at most 42", n)
+	}
+}
+
+// TestParseFlowLinear catches a flow parse whose cost grows faster than its
+// input: each quoted item and each continuation line must be read once, not
+// rescanned or recopied to the end of the collection. Sixteen times the items
+// must not cost four times as much per item (a quadratic parse costs sixteen).
+func TestParseFlowLinear(t *testing.T) {
+	for _, item := range []string{"'a', ", "'a',\n  "} {
+		fastest := func(items int) time.Duration {
+			src := "- name: [" + strings.Repeat(item, items) + "'a']\n"
+			best := time.Duration(math.MaxInt64)
+			for i := 0; i < 5; i++ {
+				start := time.Now()
+				if _, err := Parse(src); err != nil {
+					t.Fatal(err)
+				}
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		small, large := fastest(2000), fastest(32000)
+		if large > 64*small {
+			t.Errorf("parsing 32000 flow items %q took %v, 2000 took %v: more than linear", item, large, small)
+		}
 	}
 }
 
@@ -422,9 +542,6 @@ func TestNodeHelpers(t *testing.T) {
 	m.Set("a", IntScalar(9))
 	if v, _ := m.Get("a").Int(); v != 9 || m.Len() != 2 {
 		t.Error("Set replace broken")
-	}
-	if !m.Delete("a") || m.Has("a") || m.Delete("a") {
-		t.Error("Delete broken")
 	}
 	c := m.Clone()
 	c.Set("b", Scalar("changed"))
