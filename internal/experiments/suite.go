@@ -407,11 +407,14 @@ func (s *Suite) Figure2() map[dataset.GenType]dataset.Sample {
 
 // ThroughputResult compares generation speed of a small and a large
 // transformer, the basis of the paper's 350M-vs-2.7B model-size choice
-// ("the 350M model was ~1.9x faster than the 2.7B").
+// ("the 350M model was ~1.9x faster than the 2.7B"). The parameter counts
+// are the work per generated token, which the timed speeds only estimate.
 type ThroughputResult struct {
 	SmallTokensPerSec float64
 	LargeTokensPerSec float64
 	Ratio             float64
+	SmallParams       int
+	LargeParams       int
 }
 
 // Throughput builds two neural models in the paper's size relation and
@@ -440,6 +443,8 @@ func (s *Suite) Throughput() (ThroughputResult, error) {
 	res := ThroughputResult{
 		SmallTokensPerSec: measure(small),
 		LargeTokensPerSec: measure(large),
+		SmallParams:       small.NumParams(),
+		LargeParams:       large.NumParams(),
 	}
 	if res.LargeTokensPerSec > 0 {
 		res.Ratio = res.SmallTokensPerSec / res.LargeTokensPerSec

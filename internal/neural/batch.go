@@ -2,13 +2,15 @@ package neural
 
 import (
 	"math"
+	"sync"
 	"time"
 )
 
 // batchScratch is the working memory of a batched decode step: the same
 // buffers as decodeScratch but B rows wide, so the projection matmuls run
 // once over the whole batch instead of once per sequence. Allocated once
-// per engine and reused every step.
+// per engine and reused every step, together with the jobs of stepBatch's
+// two row forks, so a batched step allocates nothing at any worker count.
 type batchScratch struct {
 	x, a, q, k, v, att, ao, bIn, mo, hf []float64 // B x Dim, row-major
 	h1                                  []float64 // B x MLPHidden
@@ -17,6 +19,28 @@ type batchScratch struct {
 	// buffer. scoreRows is that worker capacity.
 	scores    []float64
 	scoreRows int
+
+	// wg is what the row forks join on; layer and head are the forks,
+	// filled in place each step.
+	wg    sync.WaitGroup
+	layer batchLayerJob
+	head  batchHeadJob
+}
+
+// batchLayerJob is stepBatch's per-layer fork over batch rows.
+type batchLayerJob struct {
+	m      *Model
+	states []*genState
+	bs     *batchScratch
+	l      int
+}
+
+// batchHeadJob is stepBatch's final fork over batch rows: the last layer
+// norm and the logit projection.
+type batchHeadJob struct {
+	m      *Model
+	states []*genState
+	bs     *batchScratch
 }
 
 // newBatchScratch sizes an arena for batches of up to b rows.
@@ -69,10 +93,7 @@ func (m *Model) stepBatch(states []*genState, toks []int, bs *batchScratch) {
 	}
 	cfg := m.cfg
 	d := cfg.Dim
-	procs := KernelProcs()
-	if procs > bs.scoreRows {
-		procs = bs.scoreRows
-	}
+	procs := min(KernelProcs(), bs.scoreRows)
 	var stepStart time.Time
 	if m.obs != nil {
 		stepStart = time.Now()
@@ -87,14 +108,9 @@ func (m *Model) stepBatch(states []*genState, toks []int, bs *batchScratch) {
 		}
 	}
 
-	for l, b := range m.blocks {
-		if procs <= 1 {
-			m.stepBatchLayer(states, bs, b, l, 0, 0, B)
-			continue
-		}
-		parallelFor(procs, B, 1, func(w, lo, hi int) {
-			m.stepBatchLayer(states, bs, b, l, w, lo, hi)
-		})
+	for l := range m.blocks {
+		bs.layer = batchLayerJob{m, states, bs, l}
+		parallelFor(&bs.wg, &bs.layer, procs, B, 1)
 	}
 
 	maxPos := 0
@@ -107,13 +123,8 @@ func (m *Model) stepBatch(states []*genState, toks []int, bs *batchScratch) {
 			s.logits = make([]float64, cfg.Vocab)
 		}
 	}
-	if procs <= 1 {
-		m.stepBatchHead(states, bs, 0, B)
-	} else {
-		parallelFor(procs, B, 1, func(_, lo, hi int) {
-			m.stepBatchHead(states, bs, lo, hi)
-		})
-	}
+	bs.head = batchHeadJob{m, states, bs}
+	parallelFor(&bs.wg, &bs.head, procs, B, 1)
 	if m.obs != nil {
 		m.obs.KVCachePositions.Set(float64(maxPos))
 		m.obs.KVCacheOccupancy.Set(float64(maxPos) / float64(cfg.Ctx))
@@ -122,12 +133,12 @@ func (m *Model) stepBatch(states []*genState, toks []int, bs *batchScratch) {
 	}
 }
 
-// stepBatchLayer runs one transformer block over batch rows [lo, hi) — the
-// per-chunk body of stepBatch's fork/join. w selects the worker-private
-// attention score row; serial callers pass chunk (0, 0, B) directly so the
-// allocation-free path never builds a closure.
-func (m *Model) stepBatchLayer(states []*genState, bs *batchScratch, b *block, l, w, lo, hi int) {
-	cfg := m.cfg
+// run runs block l over batch rows [lo, hi) — the per-chunk body of
+// stepBatch's fork/join. w selects the worker-private attention score row.
+func (j *batchLayerJob) run(w, lo, hi int) {
+	states, bs, l := j.states, j.bs, j.l
+	b := j.m.blocks[l]
+	cfg := j.m.cfg
 	d := cfg.Dim
 	hid := cfg.MLPHidden
 	heads, dh := cfg.Heads, d/cfg.Heads
@@ -159,9 +170,10 @@ func (m *Model) stepBatchLayer(states []*genState, bs *batchScratch, b *block, l
 	matmulAddBiasRows(bs.x, bs.mo, bs.h1, lo, hi, hid, b.w2.W, d, b.b2.W)
 }
 
-// stepBatchHead runs the final layer norm and tied-embedding logit
-// projection for batch rows [lo, hi).
-func (m *Model) stepBatchHead(states []*genState, bs *batchScratch, lo, hi int) {
+// run runs the final layer norm and tied-embedding logit projection for
+// batch rows [lo, hi).
+func (j *batchHeadJob) run(_, lo, hi int) {
+	m, states, bs := j.m, j.states, j.bs
 	cfg := m.cfg
 	d := cfg.Dim
 	for r := lo; r < hi; r++ {

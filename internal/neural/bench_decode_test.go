@@ -15,9 +15,10 @@ func benchModel(b *testing.B) *Model {
 	return m
 }
 
-// BenchmarkStep measures one single-row decode step. Steady-state it must
-// run allocation-free: the caches are preallocated at context capacity and
-// all intermediates live in the scratch arena.
+// BenchmarkStep measures one single-row decode step at the default kernel
+// worker count. Steady-state it runs allocation-free at any worker count:
+// the caches are preallocated at context capacity, and all intermediates and
+// the kernels' fork jobs live in the scratch arena (TestStepAllocFree).
 func BenchmarkStep(b *testing.B) {
 	m := benchModel(b)
 	st := m.newGenState()

@@ -87,22 +87,22 @@ func (s *genState) step(tok int) []float64 {
 	T := s.pos + 1
 	for l, b := range m.blocks {
 		lnRowInto(sc.a, x, b.ln1g.W, b.ln1b.W)
-		vecMatInto(sc.q, sc.a, b.wq.W)
+		sc.vecMatInto(sc.q, sc.a, b.wq.W)
 		kl := s.k[l][:T*d]
 		vl := s.v[l][:T*d]
 		s.k[l], s.v[l] = kl, vl
-		vecMatInto(kl[s.pos*d:], sc.a, b.wk.W)
-		vecMatInto(vl[s.pos*d:], sc.a, b.wv.W)
+		sc.vecMatInto(kl[s.pos*d:], sc.a, b.wk.W)
+		sc.vecMatInto(vl[s.pos*d:], sc.a, b.wv.W)
 
-		attendRowPar(sc.att, sc.q, kl, vl, sc.scores, cfg.Ctx, T, heads, dh, d, scale)
+		sc.attendRowPar(sc.att, sc.q, kl, vl, cfg.Ctx, T, heads, dh, d, scale)
 		// Fused residual update: x += att @ wo, the bias-free output
 		// projection accumulated straight onto the residual stream.
-		vecMatAddBiasInto(x, sc.ao, sc.att, b.wo.W, nil)
+		sc.vecMatAddBiasInto(x, sc.ao, sc.att, b.wo.W, nil)
 
 		lnRowInto(sc.bIn, x, b.ln2g.W, b.ln2b.W)
 		// Fused MLP: h1 = gelu(bIn @ w1 + b1), then x += h1 @ w2 + b2.
-		vecMatBiasGeluInto(sc.h1, sc.bIn, b.w1.W, b.b1.W)
-		vecMatAddBiasInto(x, sc.mo, sc.h1, b.w2.W, b.b2.W)
+		sc.vecMatBiasGeluInto(sc.h1, sc.bIn, b.w1.W, b.b1.W)
+		sc.vecMatAddBiasInto(x, sc.mo, sc.h1, b.w2.W, b.b2.W)
 	}
 	s.pos++
 	if m.obs != nil {
@@ -113,7 +113,7 @@ func (s *genState) step(tok int) []float64 {
 	}
 
 	lnRowInto(sc.hf, x, m.lnfg.W, m.lnfb.W)
-	projectLogits(s.logits, sc.hf, m.tokEmb.W, d)
+	sc.projectLogits(s.logits, sc.hf, m.tokEmb.W, d)
 	return s.logits
 }
 
@@ -126,17 +126,19 @@ func attendRow(att, q, k, v, scores []float64, heads, dh, d int, scale float64) 
 	attendHeads(att, q, k, v, scores, 0, heads, dh, d, scale)
 }
 
+// logitsJob is projectLogits' fork over vocabulary ranges.
+type logitsJob struct {
+	logits, hf, emb []float64
+	d               int
+}
+
+func (j *logitsJob) run(_, lo, hi int) { projectLogitsRange(j.logits, j.hf, j.emb, j.d, lo, hi) }
+
 // projectLogits writes hf @ tokEmb^T into logits (the tied output head),
 // splitting the vocabulary across the kernel workers.
-func projectLogits(logits, hf, emb []float64, d int) {
-	procs, minC := KernelProcs(), minTileCols(d)
-	if serialChunk(procs, len(logits), minC) {
-		projectLogitsRange(logits, hf, emb, d, 0, len(logits))
-		return
-	}
-	parallelFor(procs, len(logits), minC, func(_, lo, hi int) {
-		projectLogitsRange(logits, hf, emb, d, lo, hi)
-	})
+func (sc *decodeScratch) projectLogits(logits, hf, emb []float64, d int) {
+	sc.logits = logitsJob{logits, hf, emb, d}
+	parallelFor(&sc.wg, &sc.logits, KernelProcs(), len(logits), minTileCols(d))
 }
 
 // GenerateCached extends prefix by up to maxNew tokens using the KV cache:

@@ -70,16 +70,26 @@ func SetKernelProcs(n int) int {
 	return int(kernelProcsVal.Swap(int32(n)))
 }
 
+// kernelJob is one fork site of a decode kernel: run computes chunk [lo, hi)
+// of its work, using worker (dense in [0, procs)) to select per-worker
+// scratch. Jobs live in the arena that owns the step's buffers
+// (decodeScratch, batchScratch) and a kernel fills its job in place before
+// forking it, so a fork allocates nothing at any worker count.
+type kernelJob interface {
+	run(worker, lo, hi int)
+}
+
 // kernelTask is one contiguous chunk of a parallelFor handed to a worker.
+// It travels by value; job and wg point into the forking arena.
 type kernelTask struct {
-	fn     func(worker, lo, hi int)
+	job    kernelJob
 	worker int
 	lo, hi int
 	wg     *sync.WaitGroup
 }
 
 func (t kernelTask) run() {
-	t.fn(t.worker, t.lo, t.hi)
+	t.job.run(t.worker, t.lo, t.hi)
 	t.wg.Done()
 }
 
@@ -109,13 +119,14 @@ func dispatchKernel(t kernelTask) {
 	t.run()
 }
 
-// parallelFor splits [0, n) into up to procs contiguous chunks and runs fn
-// on each, blocking until all complete. Chunks never shrink below minChunk
-// elements (the per-worker work floor), the calling goroutine always runs
-// chunk 0, and fn receives a dense worker index in [0, procs) it may use to
-// select per-worker scratch. procs <= 1, small n, or a saturated worker
-// pool all degrade to plain serial execution of the same element order.
-func parallelFor(procs, n, minChunk int, fn func(worker, lo, hi int)) {
+// parallelFor splits [0, n) into up to procs contiguous chunks and runs
+// job on each, blocking on wg until all complete. Chunks never shrink below
+// minChunk elements (the per-worker work floor), and the calling goroutine
+// always runs chunk 0. procs <= 1, small n, or a saturated worker pool all
+// degrade to plain serial execution of the same element order. job and wg
+// are shared with the workers until parallelFor returns, so the arena that
+// owns them must not fork them again from another goroutine meanwhile.
+func parallelFor(wg *sync.WaitGroup, job kernelJob, procs, n, minChunk int) {
 	if n <= 0 {
 		return
 	}
@@ -126,37 +137,16 @@ func parallelFor(procs, n, minChunk int, fn func(worker, lo, hi int)) {
 		procs = maxP
 	}
 	if procs <= 1 {
-		fn(0, 0, n)
+		job.run(0, 0, n)
 		return
 	}
 	chunk := (n + procs - 1) / procs
-	var wg sync.WaitGroup
 	for w := 1; w*chunk < n; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		dispatchKernel(kernelTask{fn: fn, worker: w, lo: lo, hi: hi, wg: &wg})
+		dispatchKernel(kernelTask{job: job, worker: w, lo: w * chunk, hi: min(n, (w+1)*chunk), wg: wg})
 	}
-	fn(0, 0, chunk)
+	job.run(0, 0, chunk)
 	wg.Wait()
-}
-
-// serialChunk reports whether parallelFor(procs, n, minChunk, fn) would run
-// fn as one inline chunk. Kernels branch on it before constructing their
-// chunk closure: a closure handed to parallelFor escapes to the heap even
-// when the serial path runs, so the fast path must avoid creating it at all
-// to keep serial decoding allocation-free.
-func serialChunk(procs, n, minChunk int) bool {
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	if maxP := n / minChunk; procs > maxP {
-		procs = maxP
-	}
-	return procs <= 1
 }
 
 // minTileCols is the column-tile floor for a row-vector product with in
@@ -172,57 +162,75 @@ func minTileCols(in int) int {
 	return c
 }
 
-// minMatRows is the row-chunk floor for a T-row matmul of in x out weight.
-func minMatRows(in, out int) int {
-	r := kernelMinWork / (in * out)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
 // vecMatTile accumulates one column tile [lo, hi) of dst = x @ w
 // (w: len(x) x out). Identical element order to the full serial product:
 // each dst[j] sums x[i]*w[i*out+j] over ascending i with zero inputs
-// skipped.
+// skipped. The inner loop handles four independent columns per pass, which
+// changes no element's order; a one-column loop is short enough that its
+// speed swung by ~40% with where the linker happened to place it.
 func vecMatTile(dst, x, w []float64, out, lo, hi int) {
 	dr := dst[lo:hi]
-	for j := range dr {
-		dr[j] = 0
-	}
+	clear(dr)
 	for i, xv := range x {
 		if xv == 0 {
 			continue
 		}
 		wr := w[i*out+lo : i*out+hi]
-		for j, wv := range wr {
-			dr[j] += xv * wv
+		j := 0
+		for ; j+4 <= len(wr); j += 4 {
+			d, v := dr[j:j+4:j+4], wr[j:j+4:j+4]
+			d[0] += xv * v[0]
+			d[1] += xv * v[1]
+			d[2] += xv * v[2]
+			d[3] += xv * v[3]
+		}
+		for ; j < len(wr); j++ {
+			dr[j] += xv * wr[j]
 		}
 	}
 }
 
-// vecMatBiasGeluTile is one column tile of the fused MLP up-projection:
-// dst[lo:hi] = gelu((x @ w)[lo:hi] + bias[lo:hi]).
-func vecMatBiasGeluTile(dst, x, w, bias []float64, out, lo, hi int) {
-	vecMatTile(dst, x, w, out, lo, hi)
-	for j := lo; j < hi; j++ {
-		dst[j] = gelu(dst[j] + bias[j])
+// vecMatJob is vecMatInto's fork: column tiles of dst = x @ w.
+type vecMatJob struct{ dst, x, w []float64 }
+
+func (j *vecMatJob) run(_, lo, hi int) { vecMatTile(j.dst, j.x, j.w, len(j.dst), lo, hi) }
+
+// geluJob is vecMatBiasGeluInto's fork: column tiles of
+// dst = gelu(x @ w + bias).
+type geluJob struct{ dst, x, w, bias []float64 }
+
+func (j *geluJob) run(_, lo, hi int) {
+	dst, bias := j.dst, j.bias
+	vecMatTile(dst, j.x, j.w, len(dst), lo, hi)
+	for i := lo; i < hi; i++ {
+		dst[i] = gelu(dst[i] + bias[i])
 	}
 }
 
 // vecMatBiasGeluInto computes dst[j] = gelu((x @ w)[j] + bias[j]) — the MLP
 // up-projection with its bias and activation fused into the tile pass, so
 // the tile is read again while cache-hot instead of in two full sweeps.
-func vecMatBiasGeluInto(dst, x, w, bias []float64) {
-	out := len(dst)
-	procs, minC := KernelProcs(), minTileCols(len(x))
-	if serialChunk(procs, out, minC) {
-		vecMatBiasGeluTile(dst, x, w, bias, out, 0, out)
-		return
+func (sc *decodeScratch) vecMatBiasGeluInto(dst, x, w, bias []float64) {
+	sc.gelu = geluJob{dst, x, w, bias}
+	parallelFor(&sc.wg, &sc.gelu, KernelProcs(), len(dst), minTileCols(len(x)))
+}
+
+// addBiasJob is vecMatAddBiasInto's fork: column tiles of
+// acc += x @ w + bias, with the product tiles in tmp.
+type addBiasJob struct{ acc, tmp, x, w, bias []float64 }
+
+func (j *addBiasJob) run(_, lo, hi int) {
+	acc, tmp, bias := j.acc, j.tmp, j.bias
+	vecMatTile(tmp, j.x, j.w, len(acc), lo, hi)
+	if bias != nil {
+		for i := lo; i < hi; i++ {
+			acc[i] += tmp[i] + bias[i]
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			acc[i] += tmp[i]
+		}
 	}
-	parallelFor(procs, out, minC, func(_, lo, hi int) {
-		vecMatBiasGeluTile(dst, x, w, bias, out, lo, hi)
-	})
 }
 
 // vecMatAddBiasInto computes acc[j] += (x @ w)[j] + bias[j] (bias may be
@@ -230,50 +238,16 @@ func vecMatBiasGeluInto(dst, x, w, bias []float64) {
 // projections. tmp is the product buffer (len(acc)); the accumulation adds
 // the completed dot product to acc exactly like the unfused
 // product-then-add sequence did.
-func vecMatAddBiasInto(acc, tmp, x, w, bias []float64) {
-	out := len(acc)
-	procs, minC := KernelProcs(), minTileCols(len(x))
-	if serialChunk(procs, out, minC) {
-		vecMatAddBiasTile(acc, tmp, x, w, bias, out, 0, out)
-		return
-	}
-	parallelFor(procs, out, minC, func(_, lo, hi int) {
-		vecMatAddBiasTile(acc, tmp, x, w, bias, out, lo, hi)
-	})
-}
-
-// vecMatAddBiasTile is one column tile of the fused residual update.
-func vecMatAddBiasTile(acc, tmp, x, w, bias []float64, out, lo, hi int) {
-	vecMatTile(tmp, x, w, out, lo, hi)
-	if bias != nil {
-		for j := lo; j < hi; j++ {
-			acc[j] += tmp[j] + bias[j]
-		}
-	} else {
-		for j := lo; j < hi; j++ {
-			acc[j] += tmp[j]
-		}
-	}
+func (sc *decodeScratch) vecMatAddBiasInto(acc, tmp, x, w, bias []float64) {
+	sc.addBias = addBiasJob{acc, tmp, x, w, bias}
+	parallelFor(&sc.wg, &sc.addBias, KernelProcs(), len(acc), minTileCols(len(x)))
 }
 
 // matmulRows runs rows [t0, t1) of dst = x @ w (x: T x in, w: in x out)
 // with the exact serial accumulation order per row.
 func matmulRows(dst, x []float64, t0, t1, in int, w []float64, out int) {
 	for t := t0; t < t1; t++ {
-		yr := dst[t*out : (t+1)*out]
-		for i := range yr {
-			yr[i] = 0
-		}
-		xr := x[t*in : (t+1)*in]
-		for i, xv := range xr {
-			if xv == 0 {
-				continue
-			}
-			wr := w[i*out : (i+1)*out]
-			for j, wv := range wr {
-				yr[j] += xv * wv
-			}
-		}
+		vecMatTile(dst[t*out:(t+1)*out], x[t*in:(t+1)*in], w, out, 0, out)
 	}
 }
 
@@ -346,24 +320,25 @@ func attendHeads(att, q, k, v, scores []float64, h0, h1, dh, d int, scale float6
 	}
 }
 
-// attendRowPar is attendRow split across heads. scores carries one row of
-// ctxCap positions per worker the owning scratch arena was sized for; the
-// effective parallelism is min(KernelProcs, scratch rows), and each worker
-// scores into its own row so no buffer is shared.
-func attendRowPar(att, q, k, v, scores []float64, ctxCap, T, heads, dh, d int, scale float64) {
-	rows := len(scores) / ctxCap
-	procs := KernelProcs()
-	if procs > rows {
-		procs = rows
-	}
-	min := minAttendHeads(T, dh)
-	if serialChunk(procs, heads, min) {
-		attendHeads(att, q, k, v, scores[:T], 0, heads, dh, d, scale)
-		return
-	}
-	parallelFor(procs, heads, min, func(w, h0, h1 int) {
-		attendHeads(att, q, k, v, scores[w*ctxCap:w*ctxCap+T], h0, h1, dh, d, scale)
-	})
+// attendJob is attendRowPar's fork over heads: worker w scores into row w
+// of scores (ctxCap positions per row), so no buffer is shared.
+type attendJob struct {
+	att, q, k, v, scores []float64
+	ctxCap, T, dh, d     int
+	scale                float64
+}
+
+func (j *attendJob) run(w, h0, h1 int) {
+	attendHeads(j.att, j.q, j.k, j.v, j.scores[w*j.ctxCap:w*j.ctxCap+j.T], h0, h1, j.dh, j.d, j.scale)
+}
+
+// attendRowPar is attendRow split across heads. sc.scores carries one row
+// of ctxCap positions per worker the arena was sized for; the effective
+// parallelism is min(KernelProcs, scratch rows).
+func (sc *decodeScratch) attendRowPar(att, q, k, v []float64, ctxCap, T, heads, dh, d int, scale float64) {
+	procs := min(KernelProcs(), len(sc.scores)/ctxCap)
+	sc.attend = attendJob{att, q, k, v, sc.scores, ctxCap, T, dh, d, scale}
+	parallelFor(&sc.wg, &sc.attend, procs, heads, minAttendHeads(T, dh))
 }
 
 // minAttendHeads is the per-worker head floor: one head costs about

@@ -124,9 +124,11 @@ func TestParallelStepBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelKernelTiles exercises the tile/row kernels directly on odd
+// TestParallelKernelTiles exercises the tile kernels directly on odd
 // shapes (sizes that don't divide evenly across workers, zero inputs for
-// the skip path) against their serial output.
+// the skip path) against their serial output. out is wide enough that a
+// 37-input tile passes the work floor (minTileCols(37) = 221 columns), so
+// every kernel forks at procs >= 2.
 func TestParallelKernelTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	fill := func(n int) []float64 {
@@ -137,8 +139,8 @@ func TestParallelKernelTiles(t *testing.T) {
 		v[rng.Intn(n)] = 0 // exercise the zero-skip branch
 		return v
 	}
-	const in, out, T = 37, 53, 7
-	x := fill(T * in)
+	const in, out = 37, 997
+	x := fill(in)
 	w := fill(in * out)
 	bias := fill(out)
 
@@ -146,15 +148,16 @@ func TestParallelKernelTiles(t *testing.T) {
 		name string
 		run  func() []float64
 	}
+	sc := new(decodeScratch)
 	kernels := []kernel{
 		{"vecMatInto", func() []float64 {
 			dst := make([]float64, out)
-			vecMatInto(dst, x[:in], w)
+			sc.vecMatInto(dst, x[:in], w)
 			return dst
 		}},
 		{"vecMatBiasGeluInto", func() []float64 {
 			dst := make([]float64, out)
-			vecMatBiasGeluInto(dst, x[:in], w, bias)
+			sc.vecMatBiasGeluInto(dst, x[:in], w, bias)
 			return dst
 		}},
 		{"vecMatAddBiasInto", func() []float64 {
@@ -163,17 +166,12 @@ func TestParallelKernelTiles(t *testing.T) {
 				acc[i] = float64(i) // deterministic accumulator
 			}
 			tmp := make([]float64, out)
-			vecMatAddBiasInto(acc, tmp, x[:in], w, bias)
+			sc.vecMatAddBiasInto(acc, tmp, x[:in], w, bias)
 			return acc
-		}},
-		{"matmulInto", func() []float64 {
-			dst := make([]float64, T*out)
-			matmulInto(dst, x, T, in, w, out)
-			return dst
 		}},
 		{"projectLogits", func() []float64 {
 			lg := make([]float64, out)
-			projectLogits(lg, x[:in], w[:out*in], in)
+			sc.projectLogits(lg, x[:in], w[:out*in], in)
 			return lg
 		}},
 	}
@@ -211,6 +209,26 @@ func TestSetKernelProcs(t *testing.T) {
 	}
 }
 
+// coverJob counts how often each element of a parallelFor is visited and
+// checks the worker index it ran under.
+type coverJob struct {
+	t     *testing.T
+	procs int
+	mu    sync.Mutex
+	seen  []int
+}
+
+func (j *coverJob) run(w, lo, hi int) {
+	if w >= j.procs && j.procs > 0 {
+		j.t.Errorf("worker index %d out of range", w)
+	}
+	j.mu.Lock()
+	for i := lo; i < hi; i++ {
+		j.seen[i]++
+	}
+	j.mu.Unlock()
+}
+
 // TestParallelForChunks pins parallelFor's contract: full disjoint
 // coverage of [0, n), minChunk respected, dense worker indices.
 func TestParallelForChunks(t *testing.T) {
@@ -218,22 +236,46 @@ func TestParallelForChunks(t *testing.T) {
 		{1, 10, 1}, {4, 10, 1}, {8, 3, 1}, {4, 100, 30}, {4, 0, 1}, {3, 7, 2},
 	} {
 		t.Run(fmt.Sprintf("p%d_n%d_m%d", tc.procs, tc.n, tc.minChunk), func(t *testing.T) {
-			seen := make([]int, tc.n)
-			var mu sync.Mutex
-			parallelFor(tc.procs, tc.n, tc.minChunk, func(w, lo, hi int) {
-				if w >= tc.procs && tc.procs > 0 {
-					t.Errorf("worker index %d out of range", w)
-				}
-				mu.Lock()
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-				mu.Unlock()
-			})
-			for i, c := range seen {
+			job := &coverJob{t: t, procs: tc.procs, seen: make([]int, tc.n)}
+			var wg sync.WaitGroup
+			parallelFor(&wg, job, tc.procs, tc.n, tc.minChunk)
+			for i, c := range job.seen {
 				if c != 1 {
 					t.Fatalf("element %d covered %d times", i, c)
 				}
+			}
+		})
+	}
+}
+
+// TestStepAllocFree pins the fork/join's cost at the reference shape: a
+// single-row step and a 2-row stepBatch allocate nothing per call at any
+// worker count, with attention past its head-split floor (T >= 114), so
+// every kernel forks through preallocated arena jobs.
+func TestStepAllocFree(t *testing.T) {
+	m, err := NewModel(Config{Vocab: 512, Ctx: 256, Dim: 96, Heads: 4, Layers: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 120, 20
+	for _, procs := range []int{1, 2, 4} {
+		withKernelProcs(t, procs, func() {
+			st := m.newGenState()
+			for st.pos < warm {
+				st.step(st.pos % m.cfg.Vocab)
+			}
+			if n := testing.AllocsPerRun(runs, func() { st.step(3) }); n != 0 {
+				t.Errorf("procs=%d: step allocates %v times per call, want 0", procs, n)
+			}
+
+			states := []*genState{m.newGenState(), m.newGenState()}
+			toks := []int{3, 5}
+			bs := m.newBatchScratch(len(states))
+			for states[0].pos < warm {
+				m.stepBatch(states, toks, bs)
+			}
+			if n := testing.AllocsPerRun(runs, func() { m.stepBatch(states, toks, bs) }); n != 0 {
+				t.Errorf("procs=%d: 2-row stepBatch allocates %v times per call, want 0", procs, n)
 			}
 		})
 	}

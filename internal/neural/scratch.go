@@ -1,6 +1,9 @@
 package neural
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // decodeScratch is the reusable working memory of one incremental decode:
 // every buffer the single-row step kernel needs, allocated once per
@@ -8,7 +11,8 @@ import "math"
 // step allocated fresh x/q/att/score/hidden/logit slices for every token —
 // about a dozen garbage objects per token per layer — which dominated the
 // allocator profile of the serving path. A scratch is owned by one
-// generation and must not be shared across goroutines.
+// generation and must not be shared across goroutines; its kernel workers
+// only borrow it for the duration of a fork.
 type decodeScratch struct {
 	x   []float64 // Dim: residual stream of the current token
 	a   []float64 // Dim: layernorm output feeding q/k/v
@@ -23,6 +27,16 @@ type decodeScratch struct {
 	// arena was sized for (KernelProcs at creation), so parallel per-head
 	// attention never shares a buffer between workers.
 	scores []float64
+
+	// wg and the jobs below are the step's kernel forks: each kernel fills
+	// its job in place and forks it through parallelFor, joining on wg, so a
+	// step allocates nothing at any worker count.
+	wg      sync.WaitGroup
+	vecMat  vecMatJob
+	gelu    geluJob
+	addBias addBiasJob
+	attend  attendJob
+	logits  logitsJob
 }
 
 // newDecodeScratch sizes an arena for m's architecture.
@@ -72,29 +86,7 @@ func lnRowInto(dst, x, g, b []float64) {
 // kernel workers (see parallel.go); each element accumulates over ascending
 // input index with zero inputs skipped at any worker count, so serial and
 // parallel results are bit-identical.
-func vecMatInto(dst, x, w []float64) {
-	out := len(dst)
-	procs, minC := KernelProcs(), minTileCols(len(x))
-	if serialChunk(procs, out, minC) {
-		vecMatTile(dst, x, w, out, 0, out)
-		return
-	}
-	parallelFor(procs, out, minC, func(_, lo, hi int) {
-		vecMatTile(dst, x, w, out, lo, hi)
-	})
-}
-
-// matmulInto computes dst = x @ w for x: T x in, w: in x out, overwriting
-// dst[:T*out]. Rows split across the kernel workers; the accumulation order
-// per row matches vecMatInto and matmul, so batched and single-row decode
-// paths stay bit-identical at any worker count.
-func matmulInto(dst, x []float64, T, in int, w []float64, out int) {
-	procs, minR := KernelProcs(), minMatRows(in, out)
-	if serialChunk(procs, T, minR) {
-		matmulRows(dst, x, 0, T, in, w, out)
-		return
-	}
-	parallelFor(procs, T, minR, func(_, lo, hi int) {
-		matmulRows(dst, x, lo, hi, in, w, out)
-	})
+func (sc *decodeScratch) vecMatInto(dst, x, w []float64) {
+	sc.vecMat = vecMatJob{dst, x, w}
+	parallelFor(&sc.wg, &sc.vecMat, KernelProcs(), len(dst), minTileCols(len(x)))
 }

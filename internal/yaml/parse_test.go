@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -471,16 +473,48 @@ func TestParseAllocs(t *testing.T) {
 
 // TestParseFlowLinear catches a flow parse whose cost grows faster than its
 // input: each quoted item and each continuation line must be read once, not
-// rescanned or recopied to the end of the collection. Sixteen times the items
-// must not cost four times as much per item (a quadratic parse costs sixteen).
+// rescanned or recopied to the end of the collection. Two checks, one per
+// fault: the bytes allocated per item stay under a fixed bound at both sizes
+// (recopying the joined text per line allocates kilobytes per item), and
+// sixteen times the items must not take four times as long per item (a
+// quadratic parse takes sixteen). The timings run with the collector off, so
+// a GC cycle that other packages' tests trigger on a shared host cannot
+// land in one of them.
 func TestParseFlowLinear(t *testing.T) {
+	const maxBytesPerItem = 1024
 	for _, item := range []string{"'a', ", "'a',\n  "} {
+		src := func(items int) string { return "- name: [" + strings.Repeat(item, items) + "'a']\n" }
+		bytesPerItem := func(items int) float64 {
+			s := src(items)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Parse(s); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(items)
+		}
+		// The byte check runs first and with the collector on, so a copy
+		// that allocates quadratically fails here instead of growing the
+		// heap unchecked during the timings.
+		quadratic := false
+		for _, items := range []int{2000, 32000} {
+			if b := bytesPerItem(items); b > maxBytesPerItem {
+				t.Errorf("parsing %d flow items %q allocated %.0f bytes per item, want at most %d", items, item, b, maxBytesPerItem)
+				quadratic = true
+			}
+		}
+		if quadratic {
+			continue
+		}
 		fastest := func(items int) time.Duration {
-			src := "- name: [" + strings.Repeat(item, items) + "'a']\n"
+			s := src(items)
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			best := time.Duration(math.MaxInt64)
 			for i := 0; i < 5; i++ {
 				start := time.Now()
-				if _, err := Parse(src); err != nil {
+				if _, err := Parse(s); err != nil {
 					t.Fatal(err)
 				}
 				best = min(best, time.Since(start))
